@@ -211,19 +211,23 @@ func worker(ctx context.Context, o options, hc *http.Client, base string, w int,
 			return
 		}
 		start := time.Now()
-		ok, throttled := oneRequest(ctx, o, hc, base, path, tenant, body, st)
+		res := oneRequest(ctx, o, hc, base, path, tenant, body)
 		switch {
 		case ctx.Err() != nil:
-			return // interrupted mid-flight: not a service failure
-		case throttled:
+			return // interrupted mid-flight: not a service failure, and none of its tallies count
+		case res.throttled:
 			st.throttled.Add(1)
 			select {
 			case <-time.After(100 * time.Millisecond):
 			case <-ctx.Done():
 				return
 			}
-		case ok:
+		case res.ok:
 			st.requests.Add(1)
+			st.replacements.Add(res.replacements)
+			if res.syncAnswer {
+				st.syncAnswers.Add(1)
+			}
 			st.observe(time.Since(start).Seconds())
 		default:
 			st.errors.Add(1)
@@ -266,12 +270,22 @@ type placedResult struct {
 	Replacements int64 `json:"replacements"`
 }
 
-// oneRequest drives one submit-poll-complete cycle. ok reports a
-// successful terminal result; throttled reports a 429/503 shed.
-func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, tenant, body string, st *loadStats) (ok, throttled bool) {
+// outcome is what one request cycle returns. The tallies ride with it
+// rather than going to the shared counters from inside the cycle: worker
+// adds them only for a request it counts, so a request the deadline
+// discards leaves no half of itself behind.
+type outcome struct {
+	ok           bool  // a successful terminal result
+	throttled    bool  // a 429/503 shed
+	syncAnswer   bool  // answered 200 at submit, no job
+	replacements int64 // fleet re-placements the result reports
+}
+
+// oneRequest drives one submit-poll-complete cycle.
+func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, tenant, body string) outcome {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, strings.NewReader(body))
 	if err != nil {
-		return false, false
+		return outcome{}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if tenant != "" {
@@ -279,27 +293,26 @@ func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, ten
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return false, false
+		return outcome{}
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
 	if err != nil {
-		return false, false
+		return outcome{}
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 		// Synchronous answer: an autotune cache hit, here or on a peer.
-		st.syncAnswers.Add(1)
-		return true, false
+		return outcome{ok: true, syncAnswer: true}
 	case http.StatusAccepted:
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		return false, true
+		return outcome{throttled: true}
 	default:
-		return false, false
+		return outcome{}
 	}
 	var snap jobView
 	if err := json.Unmarshal(data, &snap); err != nil || snap.ID == "" {
-		return false, false
+		return outcome{}
 	}
 	t := time.NewTicker(o.pollEvery)
 	defer t.Stop()
@@ -315,37 +328,38 @@ func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, ten
 					dresp.Body.Close()
 				}
 			}
-			return false, false
+			return outcome{}
 		}
 		greq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+snap.ID, nil)
 		if err != nil {
-			return false, false
+			return outcome{}
 		}
 		gresp, err := hc.Do(greq)
 		if err != nil {
 			if ctx.Err() != nil {
 				continue // let the ctx.Done arm run the cancel path
 			}
-			return false, false
+			return outcome{}
 		}
 		gdata, err := io.ReadAll(io.LimitReader(gresp.Body, 1<<20))
 		gresp.Body.Close()
 		if err != nil || gresp.StatusCode != http.StatusOK {
-			return false, false
+			return outcome{}
 		}
 		var j jobView
 		if err := json.Unmarshal(gdata, &j); err != nil {
-			return false, false
+			return outcome{}
 		}
 		switch j.Status {
 		case "done":
+			res := outcome{ok: true}
 			var pr placedResult
 			if json.Unmarshal(j.Result, &pr) == nil {
-				st.replacements.Add(pr.Replacements)
+				res.replacements = pr.Replacements
 			}
-			return true, false
+			return res
 		case "failed", "canceled":
-			return false, false
+			return outcome{}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -197,5 +199,70 @@ func TestQuantileExact(t *testing.T) {
 	}
 	if q := quantile(s, 1); q != 10 {
 		t.Fatalf("p100 = %v, want 10", q)
+	}
+}
+
+// roundTripFunc serves canned responses without a network, so a context
+// canceled inside it cannot fail the exchange it is part of.
+type roundTripFunc func(*http.Request) *http.Response
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r), nil }
+
+func cannedResponse(code int, body string) *http.Response {
+	return &http.Response{StatusCode: code, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(body))}
+}
+
+// TestLoadDeadlineDiscardsWholeRequest pins the accounting at the
+// deadline: the context expires while the reply that completes a request
+// is in flight, so oneRequest returns a success that worker discards.
+// Nothing of that request may reach the counters — replacements and sync
+// answers are sums over the counted requests only.
+func TestLoadDeadlineDiscardsWholeRequest(t *testing.T) {
+	const counted = 3
+	for _, kind := range []string{"solve", "autotune"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		completions := 0
+		// complete answers with a request's last reply, canceling the
+		// context first on the one after the counted ones.
+		complete := func(code int, body string) *http.Response {
+			if completions++; completions > counted {
+				cancel()
+			}
+			return cannedResponse(code, body)
+		}
+		hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) *http.Response {
+			switch {
+			case r.Method == http.MethodPost && kind == "autotune":
+				return complete(http.StatusOK, `{"source":"cache"}`)
+			case r.Method == http.MethodPost:
+				return cannedResponse(http.StatusAccepted, `{"id":"job-1","status":"pending"}`)
+			case r.Method == http.MethodGet:
+				return complete(http.StatusOK, `{"id":"job-1","status":"done","result":{"replacements":2}}`)
+			}
+			return cannedResponse(http.StatusOK, `{}`) // the best-effort cancel
+		})}
+		o := loadOpts("http://load.test")
+		o.kind = kind
+		o.pollEvery = time.Millisecond
+		st := &loadStats{}
+		worker(ctx, o, hc, o.url, 0, st)
+		cancel()
+
+		if got := st.requests.Load(); got != counted {
+			t.Fatalf("%s: requests=%d, want %d", kind, got, counted)
+		}
+		wantRepl, wantSync := int64(2*counted), int64(0)
+		if kind == "autotune" {
+			wantRepl, wantSync = 0, counted
+		}
+		if got := st.replacements.Load(); got != wantRepl {
+			t.Errorf("%s: replacements=%d, want %d (sum over the %d counted requests)", kind, got, wantRepl, counted)
+		}
+		if got := st.syncAnswers.Load(); got != wantSync {
+			t.Errorf("%s: sync answers=%d, want %d", kind, got, wantSync)
+		}
+		if got := len(st.latencies); got != counted {
+			t.Errorf("%s: %d latencies observed, want %d", kind, got, counted)
+		}
 	}
 }

@@ -89,6 +89,10 @@ const (
 	TypeHello byte = 1
 	// TypeData carries one motion's packed region values.
 	TypeData byte = 2
+	// typeBye ends a TCP link in good order: the sender completed its run
+	// and will send nothing more, so the EOF that follows is not a dead
+	// peer. Transport-internal; it never reaches Recv.
+	typeBye byte = 3
 )
 
 // Frame is one protocol message. Data is the packed region payload in

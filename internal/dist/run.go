@@ -145,5 +145,9 @@ func RunTCP(ctx context.Context, cfg Config, rank int, ln net.Listener, addrs []
 		return nil, err
 	}
 	defer tr.Close()
-	return RunRank(ctx, cfg, plan, tr)
+	res, err := RunRank(ctx, cfg, plan, tr)
+	if err == nil {
+		tr.sayBye(ctx)
+	}
+	return res, err
 }

@@ -237,6 +237,9 @@ func (t *TCPTransport) readLoop(peer int, pc *tcpConn) {
 		var f Frame
 		var err error
 		f, scratch, err = ReadFrame(pc.c, t.maxValues, scratch)
+		if err == nil && f.Type == typeBye {
+			return // the peer finished its run; its EOF is not a failure
+		}
 		item := recvItem{f: f, from: peer}
 		if err != nil {
 			select {
@@ -293,6 +296,18 @@ func (t *TCPTransport) Send(ctx context.Context, to int, f *Frame) error {
 		return fmt.Errorf("rank %d write: %v: %w", to, err, ErrPeerDown)
 	}
 	return nil
+}
+
+// sayBye tells every peer that this rank completed its run, so that a
+// slower peer still collecting frames from the others does not take the
+// close that follows for a death. Best effort: a link that is already
+// down has nobody to tell.
+func (t *TCPTransport) sayBye(ctx context.Context) {
+	for to := range t.conns {
+		if to != t.rank {
+			_ = t.Send(ctx, to, &Frame{Type: typeBye, Rank: uint16(t.rank)})
+		}
+	}
 }
 
 // Recv returns the next frame from any peer. A broken link surfaces as

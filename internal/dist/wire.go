@@ -74,7 +74,7 @@ func DecodeFrame(payload []byte, maxValues int) (Frame, error) {
 		Step:   binary.LittleEndian.Uint32(payload[7:11]),
 		Motion: binary.LittleEndian.Uint32(payload[11:15]),
 	}
-	if f.Type != TypeHello && f.Type != TypeData {
+	if f.Type != TypeHello && f.Type != TypeData && f.Type != typeBye {
 		return Frame{}, fmt.Errorf("%w: unknown frame type %d", ErrProtocol, f.Type)
 	}
 	count := binary.LittleEndian.Uint32(payload[15:19])

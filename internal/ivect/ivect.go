@@ -39,11 +39,19 @@ var Zero = IntVect{}
 // Ones is (1, 1, 1).
 var Ones = IntVect{1, 1, 1}
 
+// mustDir returns d after checking it names a direction. The panic lives
+// out of line in badDir so that Unit, Shift and With stay within the
+// inlining budget: they sit in the index arithmetic of every executor.
 func mustDir(d int) int {
-	if d < 0 || d >= SpaceDim {
-		panic(fmt.Sprintf("ivect: direction %d out of range [0,%d)", d, SpaceDim))
+	if uint(d) >= SpaceDim {
+		badDir(d)
 	}
 	return d
+}
+
+//go:noinline
+func badDir(d int) {
+	panic(fmt.Sprintf("ivect: direction %d out of range [0,%d)", d, SpaceDim))
 }
 
 // Add returns v + w componentwise.

@@ -1,8 +1,6 @@
 package variants
 
 import (
-	"stencilsched/internal/box"
-	"stencilsched/internal/fab"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/sched"
@@ -19,10 +17,15 @@ import (
 //
 // Carried flux values cross tile boundaries through global co-dimension
 // caches — one slot per lattice column in each direction (the paper's "flux
-// cache", 3-D for CLO and 4-D for CLI). Within a wavefront no two tiles
-// share a column in any direction (tiles sharing an (y,z) column differ
-// only in the x tile index and therefore sit on different anti-diagonals),
-// so the wavefront barrier is the only synchronization required.
+// cache", 3-D for CLO and 4-D for CLI), indexed relative to the valid box.
+// Slots double as the intra-tile carried values: each cell reads its
+// low-face flux from the slot and leaves its high-face flux there, so the
+// same sweep (fusedSweep.run) works for any tile shape — a single tile
+// covering the box is the serial shifted-and-fused sweep, a one-cell tile
+// the per-iteration wavefront. Within a wavefront no two tiles share a
+// column in any direction (tiles sharing an (y,z) column differ only in
+// the x tile index and therefore sit on different anti-diagonals), so the
+// wavefront barrier is the only synchronization required.
 func execBlockedWF(s *state, comp sched.CompLoop, shape ivect.IntVect, threads int, ar *scratch.Arena) Stats {
 	stats := Stats{UniqueFaces: s.uniqueFaces()}
 	stats.FacesEvaluated = stats.UniqueFaces
@@ -30,101 +33,19 @@ func execBlockedWF(s *state, comp sched.CompLoop, shape ivect.IntVect, threads i
 	stats.TempVelBytes = velBytes(vel)
 
 	dec := tiling.DecomposeVect(s.valid, shape)
-	sz := s.valid.Size()
-	nx, ny, nz := sz[0], sz[1], sz[2]
+	nc := compsInFlight(comp)
+	f := newFusedSweep(s, vel, s.valid, nc, true, ar)
+	stats.TempFluxBytes = f.cacheBytes()
 
-	var runsArr [kernel.NComp][2]int
-	runsArr[0] = [2]int{0, kernel.NComp}
-	runs := runsArr[:1]
-	if comp == sched.CLO {
-		runs = runsArr[:0]
-		for c := 0; c < kernel.NComp; c++ {
-			runs = append(runs, [2]int{c, c + 1})
-		}
-	}
-	nc := runs[0][1] - runs[0][0]
-	gfx := ar.Floats(nc * ny * nz)
-	gfy := ar.Floats(nc * nx * nz)
-	gfz := ar.Floats(nc * nx * ny)
-	stats.TempFluxBytes = int64(len(gfx)+len(gfy)+len(gfz)) * 8
-
-	// One closure serves every component run (mutable capture of the
-	// component range) instead of allocating one per run.
-	var r0, r1 int
+	// One closure serves every component run (the sweep carries the
+	// component range) instead of allocating one per run. It runs once per
+	// tile inside wavefront workers, so it must not allocate.
 	body := func(_ int, tv ivect.IntVect) {
-		fusedTileBody(s, vel, dec.TileAt(tv).Cells, r0, r1, gfx, gfy, gfz)
+		f.run(dec.TileAt(tv).Cells)
 	}
-	for _, r := range runs {
-		r0, r1 = r[0], r[1]
+	for c := 0; c < kernel.NComp; c += nc {
+		f.cLo, f.cHi = c, c+nc
 		stats.Wavefront = wavefront.Run(dec.Grid.Size(), threads, body)
 	}
 	return stats
-}
-
-// fusedTileBody runs the fused sweep over one tile's cells for components
-// [cLo, cHi), carrying flux values through the global co-dimension caches
-// gfx (indexed by (y,z) relative to the valid box), gfy ((x,z)) and gfz
-// ((x,y)). Slots double as the intra-tile carried values: each cell reads
-// its low-face flux from the slot and leaves its high-face flux there, so
-// the same body works for any tile shape, including a single tile covering
-// the whole box (which reproduces the serial shifted-and-fused sweep).
-// Only at the valid-box boundary is the low-face flux recomputed directly
-// (the loop "shift").
-func fusedTileBody(s *state, vel [3]*fab.FAB, tile box.Box, cLo, cHi int, gfx, gfy, gfz []float64) {
-	valid := s.valid
-	sz := valid.Size()
-	nx, ny := sz[0], sz[1]
-	nc := cHi - cLo
-	vx, vy, vz := newVelAcc(vel[0]), newVelAcc(vel[1]), newVelAcc(vel[2])
-	// Sliced from the state's component cache: fusedTileBody runs once
-	// per tile inside wavefront workers, so it must not allocate.
-	phs := s.comps0[cLo:cHi]
-	dst := s.comps1[cLo:cHi]
-	for z := tile.Lo[2]; z <= tile.Hi[2]; z++ {
-		zi := z - valid.Lo[2]
-		for y := tile.Lo[1]; y <= tile.Hi[1]; y++ {
-			yi := y - valid.Lo[1]
-			for x := tile.Lo[0]; x <= tile.Hi[0]; x++ {
-				xi := x - valid.Lo[0]
-				p := ivect.New(x, y, z)
-				o0 := s.off0(p)
-				o1 := s.off1(p)
-				velXhi := vx.at(p.Shift(0, 1))
-				velYhi := vy.at(p.Shift(1, 1))
-				velZhi := vz.at(p.Shift(2, 1))
-				for ci := 0; ci < nc; ci++ {
-					ph := phs[ci]
-					fxhi := kernel.Flux2(velXhi, kernel.FaceAvg(ph, o0+1, 1))
-					var fxlo float64
-					if x == valid.Lo[0] {
-						fxlo = fluxAt(s, vx, ph, p, 0)
-					} else {
-						fxlo = gfx[ci*ny*sz[2]+zi*ny+yi]
-					}
-					fyhi := kernel.Flux2(velYhi, kernel.FaceAvg(ph, o0+s.str0[1], s.str0[1]))
-					var fylo float64
-					if y == valid.Lo[1] {
-						fylo = fluxAt(s, vy, ph, p, 1)
-					} else {
-						fylo = gfy[ci*nx*sz[2]+zi*nx+xi]
-					}
-					fzhi := kernel.Flux2(velZhi, kernel.FaceAvg(ph, o0+s.str0[2], s.str0[2]))
-					var fzlo float64
-					if z == valid.Lo[2] {
-						fzlo = fluxAt(s, vz, ph, p, 2)
-					} else {
-						fzlo = gfz[ci*nx*ny+yi*nx+xi]
-					}
-					v := dst[ci][o1]
-					v += fxhi - fxlo
-					v += fyhi - fylo
-					v += fzhi - fzlo
-					dst[ci][o1] = v
-					gfx[ci*ny*sz[2]+zi*ny+yi] = fxhi
-					gfy[ci*nx*sz[2]+zi*nx+xi] = fyhi
-					gfz[ci*nx*ny+yi*nx+xi] = fzhi
-				}
-			}
-		}
-	}
 }

@@ -61,13 +61,8 @@ func ExecHierarchicalOT(phi0, phi1 *fab.FAB, valid box.Box, outer, inner ivect.I
 			// Inner tiles are independent: reset the arena so the retained
 			// peak is one inner tile's velocity field plus carried caches.
 			tar.Reset()
-			vel := velocityField(s, it.Cells, 1, tar)
-			fx := tar.Floats(1)
-			fy := tar.Floats(inner[0])
-			fz := tar.Floats(inner[0] * inner[1])
-			for c := 0; c < kernel.NComp; c++ {
-				fusedSweepSerial(s, vel, it.Cells, c, c+1, fx, fy, fz)
-			}
+			f := newFusedSweep(s, velocityField(s, it.Cells, 1, tar), it.Cells, 1, false, tar)
+			f.runAllComps(it.Cells)
 		}
 	})
 	for _, e := range evals {

@@ -87,16 +87,11 @@ func execOverlapped(s *state, intra sched.IntraTile, shape ivect.IntVect, thread
 		tar := ars[tid]
 		tar.Reset()
 		tile := dec.Tiles[i].Cells
-		vel := velocityField(s, tile, 1, tar)
-		fx := tar.Floats(1)
-		fy := tar.Floats(shape[0])
-		fz := tar.Floats(shape[0] * shape[1])
-		for c := 0; c < kernel.NComp; c++ {
-			// Component loop outside (the studied OT variants are CLO: the
-			// paper dropped CLI inside tiles after untiled CLI proved
-			// uniformly slower).
-			fusedSweepSerial(s, vel, tile, c, c+1, fx, fy, fz)
-		}
+		// One component in flight: the studied OT variants are CLO (the
+		// paper dropped CLI inside tiles after untiled CLI proved
+		// uniformly slower).
+		f := newFusedSweep(s, velocityField(s, tile, 1, tar), tile, 1, false, tar)
+		f.runAllComps(tile)
 	})
 	stats.TempFluxBytes = int64(1+shape[0]+shape[0]*shape[1]) * 8 * p
 	stats.TempVelBytes = tileFaceSum * 8 * p

@@ -28,176 +28,179 @@ func execShiftFuse(s *state, comp sched.CompLoop, withinBox bool, threads int, a
 	vel := velocityField(s, s.valid, threads, ar)
 	stats.TempVelBytes = velBytes(vel)
 
-	var runsArr [kernel.NComp][2]int
-	runsArr[0] = [2]int{0, kernel.NComp} // CLI: all components per sweep
-	runs := runsArr[:1]
-	if comp == sched.CLO {
-		runs = runsArr[:0]
-		for c := 0; c < kernel.NComp; c++ {
-			runs = append(runs, [2]int{c, c + 1})
-		}
-	}
-
-	sz := s.valid.Size()
-	if withinBox {
-		// Per-iteration wavefront: 2-D co-dimension caches, one slot per
-		// lattice column in each direction. Carried values are seeded at
-		// the low boundary before any read, so the undefined arena
-		// contents are never observed.
-		nc := runs[0][1] - runs[0][0]
-		cfx := ar.Floats(nc * sz[1] * sz[2])
-		cfy := ar.Floats(nc * sz[0] * sz[2])
-		cfz := ar.Floats(nc * sz[0] * sz[1])
-		stats.TempFluxBytes = int64(len(cfx)+len(cfy)+len(cfz)) * 8
-		for _, r := range runs {
-			stats.Wavefront = fusedCellWavefront(s, vel, r[0], r[1], threads, cfx, cfy, cfz)
-		}
+	// Serial: scalar/row/plane carried caches (Table I's 2 + 2N + 2N^2
+	// flux temporaries per in-flight component). Per-iteration wavefront:
+	// one slot per lattice column in each direction, because cells of
+	// different rows and planes are in flight between the same barriers.
+	nc := compsInFlight(comp)
+	f := newFusedSweep(s, vel, s.valid, nc, withinBox, ar)
+	stats.TempFluxBytes = f.cacheBytes()
+	if !withinBox {
+		f.runAllComps(s.valid)
 		return stats
 	}
-
-	// Serial fused sweep: scalar/row/plane carried caches (Table I's
-	// 2 + 2N + 2N^2 flux temporaries per in-flight component).
-	nc := runs[0][1] - runs[0][0]
-	fx := ar.Floats(nc)
-	fy := ar.Floats(nc * sz[0])
-	fz := ar.Floats(nc * sz[0] * sz[1])
-	stats.TempFluxBytes = int64(len(fx)+len(fy)+len(fz)) * 8
-	for _, r := range runs {
-		fusedSweepSerial(s, vel, s.valid, r[0], r[1], fx, fy, fz)
+	// A cell is a one-cell tile of the blocked wavefront: its cache slots
+	// are written only by its lexicographic predecessors in earlier
+	// wavefronts, so the barrier between wavefronts is the only
+	// synchronization needed. The closure gets its own copy of the sweep
+	// so that the serial path above keeps f off the heap.
+	w := f
+	body := func(_ int, rel ivect.IntVect) {
+		p := w.org.Add(rel)
+		w.run(box.Box{Lo: p, Hi: p})
+	}
+	for c := 0; c < kernel.NComp; c += nc {
+		w.cLo, w.cHi = c, c+nc
+		stats.Wavefront = wavefront.Run(s.valid.Size(), threads, body)
 	}
 	return stats
 }
 
-// fluxAt evaluates the full flux (velocity times fourth-order face average)
-// at the face whose high-side cell is p, in direction d, for the component
-// slice ph. It is the recomputation primitive shared by the fused seeds and
-// the overlapped tiles; by construction it produces the exact bits the
-// staged schedules produce.
-func fluxAt(s *state, vel velAcc, ph []float64, p ivect.IntVect, d int) float64 {
-	return kernel.Flux2(vel.at(p), kernel.FaceAvg(ph, s.off0(p), s.str0[d]))
+// compsInFlight is how many components a fused schedule carries through
+// one sweep of the box: all of them for CLI, one (and a sweep per
+// component) for CLO.
+func compsInFlight(comp sched.CompLoop) int {
+	if comp == sched.CLO {
+		return 1
+	}
+	return kernel.NComp
 }
 
-// fusedSweepSerial performs the fused lexicographic sweep over the cells of
-// region for components [cLo, cHi), with caller-provided carried caches:
-// fx has cHi-cLo slots, fy (cHi-cLo)*nx, fz (cHi-cLo)*nx*ny, where nx, ny
-// are the region's x and y extents.
-//
-// The caches are seeded at the region's low boundary by direct
-// recomputation of the low-face flux (the loop "shift" of Fig. 8a), so the
-// routine is also the intra-tile schedule of the fused overlapped tiles:
-// passing a tile box recomputes that tile's surface fluxes.
-func fusedSweepSerial(s *state, vel [3]*fab.FAB, region box.Box, cLo, cHi int, fx, fy, fz []float64) {
-	nx := region.Hi[0] - region.Lo[0] + 1
-	nc := cHi - cLo
-	vx, vy, vz := newVelAcc(vel[0]), newVelAcc(vel[1]), newVelAcc(vel[2])
-	// Per-component slice tables hoisted out of the spatial loops,
-	// sliced from the state's cache (no allocation — this runs once per
-	// tile in the overlapped schedules).
-	phs := s.comps0[cLo:cHi]
-	dst := s.comps1[cLo:cHi]
-	for z := region.Lo[2]; z <= region.Hi[2]; z++ {
-		for y := region.Lo[1]; y <= region.Hi[1]; y++ {
-			for x := region.Lo[0]; x <= region.Hi[0]; x++ {
-				p := ivect.New(x, y, z)
-				o0 := s.off0(p)
-				o1 := s.off1(p)
-				xi := x - region.Lo[0]
-				yi := y - region.Lo[1]
-				velXhi := vx.at(p.Shift(0, 1))
-				velYhi := vy.at(p.Shift(1, 1))
-				velZhi := vz.at(p.Shift(2, 1))
-				for ci := 0; ci < nc; ci++ {
-					ph := phs[ci]
-					fxhi := kernel.Flux2(velXhi, kernel.FaceAvg(ph, o0+1, 1))
-					var fxlo float64
-					if x == region.Lo[0] {
-						fxlo = fluxAt(s, vx, ph, p, 0)
-					} else {
-						fxlo = fx[ci]
-					}
-					fyhi := kernel.Flux2(velYhi, kernel.FaceAvg(ph, o0+s.str0[1], s.str0[1]))
-					var fylo float64
-					if y == region.Lo[1] {
-						fylo = fluxAt(s, vy, ph, p, 1)
-					} else {
-						fylo = fy[ci*nx+xi]
-					}
-					fzhi := kernel.Flux2(velZhi, kernel.FaceAvg(ph, o0+s.str0[2], s.str0[2]))
-					var fzlo float64
-					if z == region.Lo[2] {
-						fzlo = fluxAt(s, vz, ph, p, 2)
-					} else {
-						fzlo = fz[ci*nx*(region.Hi[1]-region.Lo[1]+1)+yi*nx+xi]
-					}
-					v := dst[ci][o1]
-					v += fxhi - fxlo
-					v += fyhi - fylo
-					v += fzhi - fzlo
-					dst[ci][o1] = v
-					fx[ci] = fxhi
-					fy[ci*nx+xi] = fyhi
-					fz[ci*nx*(region.Hi[1]-region.Lo[1]+1)+yi*nx+xi] = fzhi
+// fusedSweep is the shifted-and-fused sweep shared by every schedule of the
+// fused family: the serial sweep, the per-iteration and blocked wavefronts
+// (one run per cell or tile) and the fused overlapped tiles (one sweep per
+// tile). It holds raw views of the three velocity fields and the carried
+// flux caches, which are indexed relative to org: a cell on a low face of
+// org recomputes its low-face flux directly (the loop "shift" of Fig. 8a),
+// every other cell reads the flux its predecessor left in the cache and
+// leaves its own high-face flux there.
+type fusedSweep struct {
+	s          *state
+	vx, vy, vz velAcc
+	org        ivect.IntVect // low corner of the box the caches cover
+	// cLo, cHi are the components in flight: run sweeps [cLo, cHi), and
+	// the caches have cHi-cLo component slots.
+	cLo, cHi int
+	// fx holds the x flux leaving a row, fy a row of y fluxes, fz a plane
+	// of z fluxes, each per in-flight component (strides fxC, fyC, fzC).
+	// A sweep of org alone carries one fx scalar and one fy row; tiles of
+	// org in flight between barriers need a slot per lattice column (fx
+	// by (y,z), fy by (x,z)), which non-zero y and z strides select.
+	fx, fy, fz    []float64
+	fxY, fxZ, fxC int
+	fyZ, fyC      int
+	fzY, fzC      int
+}
+
+// newFusedSweep draws the carried caches over org for nc in-flight
+// components (initially [0, nc)) from ar. perColumn selects the
+// one-slot-per-column layout of the wavefront schedules. Contents are
+// undefined: every slot is seeded at org's low faces before it is read.
+func newFusedSweep(s *state, vel [3]*fab.FAB, org box.Box, nc int, perColumn bool, ar *scratch.Arena) fusedSweep {
+	sz := org.Size()
+	f := fusedSweep{
+		s: s, vx: newVelAcc(vel[0]), vy: newVelAcc(vel[1]), vz: newVelAcc(vel[2]),
+		org: org.Lo, cHi: nc,
+		fxC: 1, fyC: sz[0], fzY: sz[0], fzC: sz[0] * sz[1],
+	}
+	if perColumn {
+		f.fxY, f.fxZ, f.fxC = 1, sz[1], sz[1]*sz[2]
+		f.fyZ, f.fyC = sz[0], sz[0]*sz[2]
+	}
+	f.fx = ar.Floats(nc * f.fxC)
+	f.fy = ar.Floats(nc * f.fyC)
+	f.fz = ar.Floats(nc * f.fzC)
+	return f
+}
+
+// cacheBytes is the carried-cache storage, Table I's flux temporaries.
+func (f *fusedSweep) cacheBytes() int64 {
+	return int64(len(f.fx)+len(f.fy)+len(f.fz)) * 8
+}
+
+// run sweeps the cells of tile (a sub-box of org, or org itself) in
+// lexicographic order for the components in flight. Everything that does
+// not vary along x — offsets, velocity and cache rows, whether the row sits
+// on a low face of org — is resolved once per row; the cells are
+// fusedRow's. With several components in flight (CLI) the component loop
+// sits here, between the y and the x loop.
+func (f *fusedSweep) run(tile box.Box) {
+	s := f.s
+	sy, sz := s.str0[1], s.str0[2]
+	x0 := tile.Lo[0]
+	n := tile.Hi[0] - x0 + 1
+	xi := x0 - f.org[0]
+	for z := tile.Lo[2]; z <= tile.Hi[2]; z++ {
+		zi := z - f.org[2]
+		for y := tile.Lo[1]; y <= tile.Hi[1]; y++ {
+			yi := y - f.org[1]
+			p := ivect.New(x0, y, z)
+			o0, o1 := s.off0(p), s.off1(p)
+			vx := f.vx.row(p) // faces x0 .. x0+n: low face of the row, then each cell's high face
+			vy, vz := f.vy.row(p), f.vz.row(p)
+			for c := f.cLo; c < f.cHi; c++ {
+				ph := s.comps0[c]
+				ci := c - f.cLo
+				fy := f.fy[ci*f.fyC+zi*f.fyZ+xi:][:n]
+				fz := f.fz[ci*f.fzC+yi*f.fzY+xi:][:n]
+				if yi == 0 {
+					seedRow(fy, vy, ph, o0, sy)
 				}
+				if zi == 0 {
+					seedRow(fz, vz, ph, o0, sz)
+				}
+				fx := &f.fx[ci*f.fxC+zi*f.fxZ+yi*f.fxY]
+				if xi == 0 {
+					*fx = kernel.Flux2(vx[0], kernel.FaceAvg(ph, o0, 1))
+				}
+				*fx = fusedRow(s.comps1[c][o1:o1+n], ph, o0, sy, sz,
+					vx[1:], vy[f.vy.sy:], vz[f.vz.sz:], fy, fz, *fx)
 			}
 		}
 	}
 }
 
-// fusedCellWavefront executes the fused computation for components
-// [cLo, cHi) as a per-iteration wavefront over the cells of the valid box:
-// cells on the same anti-diagonal run concurrently, and the carried flux
-// values live in 2-D co-dimension caches indexed by the lattice column in
-// each direction (cfx by (y,z), cfy by (x,z), cfz by (x,y)). A cell's cache
-// slots are written only by its lexicographic predecessors in earlier
-// wavefronts, so the barrier between wavefronts is the only synchronization
-// needed.
-func fusedCellWavefront(s *state, vel [3]*fab.FAB, cLo, cHi, threads int, cfx, cfy, cfz []float64) wavefront.Stats {
-	region := s.valid
-	sz := region.Size()
-	nx, ny := sz[0], sz[1]
-	nc := cHi - cLo
-	vx, vy, vz := newVelAcc(vel[0]), newVelAcc(vel[1]), newVelAcc(vel[2])
-	phs := s.comps0[cLo:cHi]
-	dst := s.comps1[cLo:cHi]
-	return wavefront.Run(sz, threads, func(_ int, rel ivect.IntVect) {
-		p := region.Lo.Add(rel)
-		o0 := s.off0(p)
-		o1 := s.off1(p)
-		xi, yi, zi := rel[0], rel[1], rel[2]
-		velXhi := vx.at(p.Shift(0, 1))
-		velYhi := vy.at(p.Shift(1, 1))
-		velZhi := vz.at(p.Shift(2, 1))
-		for ci := 0; ci < nc; ci++ {
-			ph := phs[ci]
-			fxhi := kernel.Flux2(velXhi, kernel.FaceAvg(ph, o0+1, 1))
-			var fxlo float64
-			if xi == 0 {
-				fxlo = fluxAt(s, vx, ph, p, 0)
-			} else {
-				fxlo = cfx[ci*ny*sz[2]+zi*ny+yi]
-			}
-			fyhi := kernel.Flux2(velYhi, kernel.FaceAvg(ph, o0+s.str0[1], s.str0[1]))
-			var fylo float64
-			if yi == 0 {
-				fylo = fluxAt(s, vy, ph, p, 1)
-			} else {
-				fylo = cfy[ci*nx*sz[2]+zi*nx+xi]
-			}
-			fzhi := kernel.Flux2(velZhi, kernel.FaceAvg(ph, o0+s.str0[2], s.str0[2]))
-			var fzlo float64
-			if zi == 0 {
-				fzlo = fluxAt(s, vz, ph, p, 2)
-			} else {
-				fzlo = cfz[ci*nx*ny+yi*nx+xi]
-			}
-			v := dst[ci][o1]
-			v += fxhi - fxlo
-			v += fyhi - fylo
-			v += fzhi - fzlo
-			dst[ci][o1] = v
-			cfx[ci*ny*sz[2]+zi*ny+yi] = fxhi
-			cfy[ci*nx*sz[2]+zi*nx+xi] = fyhi
-			cfz[ci*nx*ny+yi*nx+xi] = fzhi
-		}
-	})
+// runAllComps sweeps tile for every component, as many at a time as the
+// caches hold in flight: the serial schedule of a box or an overlapped tile.
+func (f *fusedSweep) runAllComps(tile box.Box) {
+	nc := f.cHi - f.cLo
+	for c := 0; c < kernel.NComp; c += nc {
+		f.cLo, f.cHi = c, c+nc
+		f.run(tile)
+	}
+}
+
+// seedRow recomputes a row of low-face fluxes in the direction whose phi0
+// stride is sd: out[i] is the flux at the low face of the cell at offset
+// o0+i, vel the velocities at those faces.
+func seedRow(out, vel, ph []float64, o0, sd int) {
+	vel = vel[:len(out)]
+	for i := range out {
+		out[i] = kernel.Flux2(vel[i], kernel.FaceAvg(ph, o0+i, sd))
+	}
+}
+
+// fusedRow is the row kernel of the fused family: it updates the
+// len(dst) consecutive cells in x whose first phi0 offset is o0. vx, vy
+// and vz are the velocities at each cell's high faces; fy and fz hold
+// each cell's low-face flux in y and z on entry and its high-face flux on
+// return; fxlo is the flux at the row's low x face and the result is the
+// flux at its high x face. Per cell the expressions and the x, y, z
+// accumulation order are kernel.Reference's, so the bits are too.
+func fusedRow(dst, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
+	n := len(dst)
+	vx, vy, vz, fy, fz = vx[:n], vy[:n], vz[:n], fy[:n], fz[:n]
+	for i := range dst {
+		o := o0 + i
+		fxhi := kernel.Flux2(vx[i], kernel.FaceAvg(ph, o+1, 1))
+		fyhi := kernel.Flux2(vy[i], kernel.FaceAvg(ph, o+sy, sy))
+		fzhi := kernel.Flux2(vz[i], kernel.FaceAvg(ph, o+sz, sz))
+		v := dst[i]
+		v += fxhi - fxlo
+		v += fyhi - fy[i]
+		v += fzhi - fz[i]
+		dst[i] = v
+		fxlo, fy[i], fz[i] = fxhi, fyhi, fzhi
+	}
+	return fxlo
 }

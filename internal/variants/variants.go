@@ -301,9 +301,10 @@ func newVelAcc(f *fab.FAB) velAcc {
 	return velAcc{data: f.Comp(0), lo: f.Box().Lo, sy: sy, sz: sz}
 }
 
-// at returns the velocity at face p.
-func (v velAcc) at(p ivect.IntVect) float64 {
-	return v.data[(p[0]-v.lo[0])+v.sy*(p[1]-v.lo[1])+v.sz*(p[2]-v.lo[2])]
+// row returns the velocities from face p to the end of the field; the x
+// row starting at p leads it.
+func (v velAcc) row(p ivect.IntVect) []float64 {
+	return v.data[(p[0]-v.lo[0])+v.sy*(p[1]-v.lo[1])+v.sz*(p[2]-v.lo[2]):]
 }
 
 // checkoutWorkerArenas returns one arena per worker thread for the
