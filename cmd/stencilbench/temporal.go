@@ -83,7 +83,9 @@ func runTemporal(o options) error {
 	p := stencilsched.Problem{BoxN: o.n, NumBoxes: o.boxes, Threads: o.threads}
 	var cands []stencilsched.CompiledSchedule
 	for _, cs := range stencilsched.CompiledSchedules() {
-		if cs.TemporalK > 0 {
+		// The spectral backends carry a K too, but answer a different
+		// (frozen-velocity) problem and have their own sweep, -mode fft.
+		if cs.TemporalK > 0 && !cs.Spectral {
 			cands = append(cands, cs)
 		}
 	}

@@ -187,9 +187,13 @@ func (d ScheduleDesc) ScatterForm(dim int) error {
 // its base box before the Dir face extension — the storage form of a
 // temporal-blocking working set, whose statements at sub-step k range over
 // the base box grown by (K-1-k)*NGhost. Dir -1 means a cell-centered
-// buffer with no face extension on any axis (e.g. the state and divergence
-// accumulator of a temporal sweep). Grow is only meaningful for kind
-// "full".
+// buffer with no face extension on any axis (e.g. the ping-pong states of
+// a temporal sweep).
+//
+// A ring of Depth 1 is carried storage: the low-face flux a row statement
+// finds where its predecessor along Dir left the high-face one, one value
+// per position of the Inner axes (CarriedAxes(Dir): a scalar in x, a row
+// in y, a plane in z).
 type BufferDesc struct {
 	Name  string `json:"name"`
 	Kind  string `json:"kind"`
@@ -206,6 +210,14 @@ type BufferDesc struct {
 // component arguments, the buffers it touches (in the macro's role order),
 // an iteration domain over the parameter+loop dimensions, and a
 // scatter-form schedule over the loop dimensions.
+//
+// The macros "rowacc", "roweuler" and "rowdelta" make a row statement: the
+// What is a row kernel of internal/kernel (FusedRow, EulerRow,
+// EulerDeltaRow) applied to a whole x-row of the domain at once, so a
+// consumer iterates the outer loop dimensions only and hands the row's x
+// extent to the kernel. Their Bufs are the source state (Phi0 or a full
+// buffer), the three velocity fields, the three carried flux rings and,
+// for "roweuler", the destination state.
 type StmtDesc struct {
 	Name   string       `json:"name"`
 	Macro  string       `json:"macro"`

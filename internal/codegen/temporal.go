@@ -7,225 +7,254 @@ import (
 	"stencilsched/internal/fab"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
+	"stencilsched/internal/poly"
 )
 
-// This file extends the What/When/Where descriptions with a time domain:
-// a K axis in the When clause that fuses K explicit Euler steps into one
-// sweep (temporal blocking, the wavefront-in-time of the multicore-aware
-// blocking literature). The key structural difference from the spatial
-// schedules is that statement domains shrink as k advances — sub-step k
-// ranges over the valid box (or tile) grown by (K-1-k)*NGhost, which the
-// polyhedra express with a -NGhost coefficient on the k dimension. The
-// Where gains a Grow field: the state and temporaries cover the base box
-// widened by the deepest sub-step's reach.
+// This file extends the What/When/Where descriptions with a time axis: K
+// explicit Euler steps fused into one sweep (temporal blocking, the
+// wavefront-in-time of the multicore-aware blocking literature). Sub-step j
+// ranges over the valid box (or tile) grown by (K-1-j)*NGhost — the
+// shrinking wavefront — and each sub-step is the shifted-and-fused sweep
+// of Section IV-B, described with row statements:
 //
-// The same description drives both consumers: TemporalProg is lowered by
-// internal/schedc to flat-offset Go, and BuildTemporal interprets it
-// directly — the interpreted run is the oracle the generated runner is
-// differentially tested against, and both are bit-identical to composing
-// kernel.Reference K times (see internal/temporal.Reference).
+//   - What — per sub-step three velocity face averages, then per component
+//     one row statement: a statement whose macro is a whole x-row kernel
+//     of internal/kernel (all three direction fluxes, the divergence and
+//     the Euler write-back of one row of cells);
+//   - When — the sub-steps and their statements in sequence at one static
+//     level, each over its own (z, y, x) region (inside three tile-origin
+//     loops for the tiled grid). The k axis is unrolled: sub-steps differ
+//     in what they read and write, not only in their bounds, and K is a
+//     constant of the family;
+//   - Where — sub-step 0 reads phi0 in place, intermediate states
+//     ping-pong between two tile-local buffers, the last sub-step writes
+//     the K-step delta straight into phi1; the low-face fluxes are carried
+//     in depth-one rings (a scalar in x, a row in y, a plane in z).
+//
+// The same description drives both consumers: internal/schedc lowers it to
+// flat-offset Go, and BuildTemporal interprets it instance by instance —
+// the interpreted run is the oracle the generated runner is differentially
+// tested against, and both are bit-identical to composing kernel.Reference
+// K times (see internal/temporal.Reference).
 
-// TemporalVarNames names the loop dimensions of a temporal domain,
-// outermost first: the sub-step axis k, then the spatial (z, y, x) nest.
-func TemporalVarNames() []string { return []string{"k", "z", "y", "x"} }
+// Phi0 names the sweep's input state where a statement takes a source
+// buffer: the reserved buffer name of phi0, which no BufferDesc declares.
+const Phi0 = "phi0"
 
-// temporalDomain builds the parametric domain of one temporal statement.
-// The spatial range at sub-step k is the valid box grown on every side by
-// growConst + growK*k (face-extended by ext on the high side), with k in
-// [0, kHi]. When tileEdge > 0 the domain gains three leading tile-origin
+// RegionDomainDesc builds the parametric domain of a statement over the
+// valid box grown on every side by grow and face-extended by ext on the
+// high side. When tileEdge > 0 the domain gains three leading tile-origin
 // variables (tz, ty, tx) and each axis is confined to its tile grown by
-// the same amount — every tile computes the full shrinking wavefront of
-// its own cells, recomputing shared shell values (the overlapped-tile
-// trade extended in time).
-func temporalDomain(tileEdge, growConst, growK int, ext [3]int, kHi int) SetDesc {
+// the same amount: faces on shared tile surfaces belong to both
+// neighbors (the overlapped-tile trade), and with grow > 0 every tile
+// computes the full shrinking wavefront of its own cells, recomputing
+// shared shell values (the same trade extended in time).
+func RegionDomainDesc(tileEdge, grow int, ext [3]int) SetDesc {
 	tvars := 0
 	if tileEdge > 0 {
 		tvars = 3
 	}
-	dim := NumBoxParams + tvars + 1 + 3
-	kIdx := NumBoxParams + tvars
+	dim := NumBoxParams + tvars + 3
 	d := SetDesc{Dim: dim}
 	add := func(coef []int, c int) {
 		d.Cons = append(d.Cons, AffineDesc{Coef: coef, Const: c})
 	}
-	// k >= 0 and k <= kHi.
-	k0 := make([]int, dim)
-	k0[kIdx] = 1
-	add(k0, 0)
-	k1 := make([]int, dim)
-	k1[kIdx] = -1
-	add(k1, kHi)
 	for lvl := 0; lvl < 3; lvl++ {
 		axis := 2 - lvl // loop order z, y, x
-		li := NumBoxParams + tvars + 1 + lvl
-		if tileEdge > 0 {
-			E := tileEdge
-			ti := NumBoxParams + lvl
-			// v >= lo + E*t - grow(k)
-			tl := make([]int, dim)
-			tl[li], tl[2*axis], tl[ti], tl[kIdx] = 1, -1, -E, growK
-			add(tl, growConst)
-			// v <= lo + E*t + E-1 + grow(k) + ext (tile high edge)
-			th := make([]int, dim)
-			th[li], th[2*axis], th[ti], th[kIdx] = -1, 1, E, growK
-			add(th, E-1+growConst+ext[axis])
-			// v <= hi + grow(k) + ext (tile clipped to the valid box)
-			vh := make([]int, dim)
-			vh[li], vh[2*axis+1], vh[kIdx] = -1, 1, growK
-			add(vh, growConst+ext[axis])
-			// t >= 0 and lo + E*t <= hi: only tiles whose origin lies in
-			// the valid box exist.
-			t0 := make([]int, dim)
-			t0[ti] = 1
-			add(t0, 0)
-			t1 := make([]int, dim)
-			t1[ti], t1[2*axis], t1[2*axis+1] = -E, -1, 1
-			add(t1, 0)
-		} else {
-			// v >= lo - grow(k)
+		li := NumBoxParams + tvars + lvl
+		// v <= hi + grow + ext (the valid box, which also clips tiles)
+		vh := make([]int, dim)
+		vh[li], vh[2*axis+1] = -1, 1
+		add(vh, grow+ext[axis])
+		if tileEdge == 0 {
+			// v >= lo - grow
 			lo := make([]int, dim)
-			lo[li], lo[2*axis], lo[kIdx] = 1, -1, growK
-			add(lo, growConst)
-			// v <= hi + grow(k) + ext
-			hi := make([]int, dim)
-			hi[li], hi[2*axis+1], hi[kIdx] = -1, 1, growK
-			add(hi, growConst+ext[axis])
+			lo[li], lo[2*axis] = 1, -1
+			add(lo, grow)
+			continue
 		}
+		E := tileEdge
+		ti := NumBoxParams + lvl
+		// v >= lo + E*t - grow
+		tl := make([]int, dim)
+		tl[li], tl[2*axis], tl[ti] = 1, -1, -E
+		add(tl, grow)
+		// v <= lo + E*t + E-1 + grow + ext (tile high edge)
+		th := make([]int, dim)
+		th[li], th[2*axis], th[ti] = -1, 1, E
+		add(th, E-1+grow+ext[axis])
+		// t >= 0 and lo + E*t <= hi: only tiles whose origin lies in the
+		// valid box exist — otherwise the face extension would admit a
+		// phantom boundary tile computing faces no cell consumes.
+		t0 := make([]int, dim)
+		t0[ti] = 1
+		add(t0, 0)
+		t1 := make([]int, dim)
+		t1[ti], t1[2*axis], t1[2*axis+1] = -E, -1, 1
+		add(t1, 0)
 	}
 	return d
 }
 
 // TemporalProg describes a K-step temporal-blocking sweep as one scheduled
-// program. The statement sequence per sub-step k mirrors the series
-// schedule exactly — zero the divergence accumulator, then per direction
-// the face averages, velocity capture, flux products, and divergence
-// accumulation, then the Euler update state -= EulerDt*acc — over the
-// region grown by (K-1-k)*NGhost. Two k==0 statement groups bracket the
-// sweep: scopy seeds the state from phi0 over the deepest grown box, and
-// sdelta accumulates state - phi0 into phi1 over the valid box (the
-// K-step delta contract of internal/temporal). tileEdge > 0 adds three
-// tile-origin loops outside the time loop with all temporaries tile-local.
+// program of K fused sub-steps. Sub-step j covers the region grown by
+// (K-1-j)*NGhost: three velocity pre-passes (the face average of the
+// direction's velocity component of the sub-step's source state), then per
+// component one row statement — "roweuler" into the next ping-pong state,
+// or "rowdelta" for the last sub-step, which accumulates stepped state
+// minus phi0 into phi1 over the valid box (the K-step delta contract of
+// internal/temporal). tileEdge > 0 adds three tile-origin loops with every
+// buffer tile-local.
 func TemporalProg(k, tileEdge int) ProgramDesc {
 	if k < 1 {
 		panic(fmt.Sprintf("codegen: temporal depth %d must be positive", k))
 	}
 	ng := kernel.NGhost
 	tvars := 0
-	vars := TemporalVarNames()
+	vars := LoopVarNames()
 	if tileEdge > 0 {
 		tvars = 3
 		vars = append([]string{"tz", "ty", "tx"}, vars...)
 	}
-	nv := len(vars)
-	sched := func(group, seq int) ScheduleDesc {
-		pos := make([]int, nv+1)
-		pos[tvars] = group // before the k loop: copy / steps / delta
-		pos[tvars+1] = seq // statement sequence within one sub-step
-		return ScatterDesc(nv, pos...)
-	}
-	cells := temporalDomain(tileEdge, (k-1)*ng, -ng, [3]int{}, k-1)
-	copyDom := temporalDomain(tileEdge, k*ng, 0, [3]int{}, 0)
-	deltaDom := temporalDomain(tileEdge, 0, 0, [3]int{}, 0)
-
+	reach := (k - 1) * ng // growth of the widest sub-step's region
 	pd := ProgramDesc{
 		Name:     fmt.Sprintf("temporal-k%d", k),
 		Vars:     vars,
 		TileEdge: tileEdge,
-		Buffers: []BufferDesc{
-			{Name: "state", Kind: "full", Dir: -1, Comps: kernel.NComp, Level: tvars, Grow: k * ng},
-			{Name: "acc", Kind: "full", Dir: -1, Comps: kernel.NComp, Level: tvars, Grow: (k - 1) * ng},
-		},
+	}
+	// Sub-step j < K-1 leaves its state in states[j%2], over the region
+	// grown by reach - j*NGhost: stateA is sized for sub-step 0, stateB
+	// for sub-step 1.
+	states := [2]string{"stateA", "stateB"}
+	for i, name := range states {
+		if i < k-1 {
+			pd.Buffers = append(pd.Buffers, BufferDesc{
+				Name: name, Kind: "full", Dir: -1, Comps: kernel.NComp, Level: tvars, Grow: reach - i*ng})
+		}
 	}
 	var velB, fluxB [3]string
 	for d := 0; d < 3; d++ {
 		velB[d] = "vel" + dirName[d]
 		fluxB[d] = "flux" + dirName[d]
 		pd.Buffers = append(pd.Buffers,
-			BufferDesc{Name: fluxB[d], Kind: "full", Dir: d, Comps: kernel.NComp, Level: tvars, Grow: (k - 1) * ng},
-			BufferDesc{Name: velB[d], Kind: "full", Dir: d, Comps: 1, Level: tvars, Grow: (k - 1) * ng},
+			BufferDesc{Name: velB[d], Kind: "full", Dir: d, Comps: 1, Level: tvars, Grow: reach},
+			BufferDesc{Name: fluxB[d], Kind: "ring", Dir: d, Comps: 1, Depth: 1, Inner: CarriedAxes(d), Level: tvars, Grow: reach},
 		)
 	}
-	for c := 0; c < kernel.NComp; c++ {
-		pd.Stmts = append(pd.Stmts, StmtDesc{
-			Name: fmt.Sprintf("scopy-c%d", c), Macro: "scopy", Dir: -1, Comp: c,
-			Bufs: []string{"state"}, Domain: copyDom, Sched: sched(0, c),
-		})
-	}
 	seq := 0
-	next := func() ScheduleDesc { s := sched(1, seq); seq++; return s }
-	for c := 0; c < kernel.NComp; c++ {
-		pd.Stmts = append(pd.Stmts, StmtDesc{
-			Name: fmt.Sprintf("szero-c%d", c), Macro: "szero", Dir: -1, Comp: c,
-			Bufs: []string{"acc"}, Domain: cells, Sched: next(),
-		})
+	next := func() ScheduleDesc {
+		pos := make([]int, len(vars)+1)
+		pos[tvars] = seq
+		seq++
+		return ScatterDesc(len(vars), pos...)
 	}
-	for d := 0; d < 3; d++ {
-		faces := temporalDomain(tileEdge, (k-1)*ng, -ng, faceExt(d), k-1)
-		for c := 0; c < kernel.NComp; c++ {
+	for j := 0; j < k; j++ {
+		grow := reach - j*ng
+		src := Phi0
+		if j > 0 {
+			src = states[(j-1)%2]
+		}
+		for d := 0; d < 3; d++ {
 			pd.Stmts = append(pd.Stmts, StmtDesc{
-				Name: fmt.Sprintf("sflux1%s-c%d", dirName[d], c), Macro: "sflux1", Dir: d, Comp: c,
-				Bufs: []string{"state", fluxB[d]}, Domain: faces, Sched: next(),
+				Name: fmt.Sprintf("vel%s-k%d", dirName[d], j), Macro: "sflux1", Dir: d, Comp: kernel.VelComp(d),
+				Bufs:   []string{src, velB[d]},
+				Domain: RegionDomainDesc(tileEdge, grow, faceExt(d)), Sched: next(),
 			})
 		}
-		pd.Stmts = append(pd.Stmts, StmtDesc{
-			Name: "svel" + dirName[d], Macro: "vel", Dir: d, Comp: -1,
-			Bufs: []string{fluxB[d], velB[d]}, Domain: faces, Sched: next(),
-		})
+		cells := RegionDomainDesc(tileEdge, grow, [3]int{})
 		for c := 0; c < kernel.NComp; c++ {
-			pd.Stmts = append(pd.Stmts, StmtDesc{
-				Name: fmt.Sprintf("sflux2%s-c%d", dirName[d], c), Macro: "flux2", Dir: d, Comp: c,
-				Bufs: []string{velB[d], fluxB[d]}, Domain: faces, Sched: next(),
-			})
-			pd.Stmts = append(pd.Stmts, StmtDesc{
-				Name: fmt.Sprintf("sacc%s-c%d", dirName[d], c), Macro: "sacc", Dir: d, Comp: c,
-				Bufs: []string{fluxB[d], "acc"}, Domain: cells, Sched: next(),
-			})
+			st := StmtDesc{
+				Name: fmt.Sprintf("step-k%d-c%d", j, c), Macro: "roweuler", Dir: -1, Comp: c,
+				Bufs:   []string{src, velB[0], velB[1], velB[2], fluxB[0], fluxB[1], fluxB[2], states[j%2]},
+				Domain: cells, Sched: next(),
+			}
+			if j == k-1 {
+				st.Macro, st.Bufs = "rowdelta", st.Bufs[:7]
+			}
+			pd.Stmts = append(pd.Stmts, st)
 		}
-	}
-	for c := 0; c < kernel.NComp; c++ {
-		pd.Stmts = append(pd.Stmts, StmtDesc{
-			Name: fmt.Sprintf("seuler-c%d", c), Macro: "seuler", Dir: -1, Comp: c,
-			Bufs: []string{"acc", "state"}, Domain: cells, Sched: next(),
-		})
-	}
-	for c := 0; c < kernel.NComp; c++ {
-		pd.Stmts = append(pd.Stmts, StmtDesc{
-			Name: fmt.Sprintf("sdelta-c%d", c), Macro: "sdelta", Dir: -1, Comp: c,
-			Bufs: []string{"state"}, Domain: deltaDom, Sched: sched(2, c),
-		})
 	}
 	return pd
+}
+
+// CarriedAxes lists the axes a depth-one ring along direction d stores per
+// slot in the (z, y, x) nest: exactly the axes iterated inside d's own
+// loop level, innermost first — which yields the scalar (x), row (y) and
+// plane (z) carried caches of the fused sweeps.
+func CarriedAxes(d int) []int {
+	var inner []int
+	for a := 0; a < d; a++ {
+		inner = append(inner, a)
+	}
+	return inner
 }
 
 // dirName is shared with families consuming these descriptions.
 var dirName = [3]string{"X", "Y", "Z"}
 
-// flatGrid is the full-array storage mapping of one interpreter buffer.
-type flatGrid struct {
-	lo          ivect.IntVect
-	sy, szr, sc int
+// store is the interpreter's storage mapping of one buffer (or of phi0 /
+// phi1): a flat array plus the Where that locates point p, component c in
+// it.
+type store struct {
+	data []float64
+	lo   ivect.IntVect
+	// str is the stride per axis, zero for an axis the buffer does not
+	// index by (the outer axes of a ring slot); sc the component stride.
+	str [3]int
+	sc  int
+	// A ring of depth > 0 along dir adds (coordinate mod depth) slots.
+	dir, depth, slot int
 }
 
-func gridFor(b box.Box) flatGrid {
+// fabStore views a FAB through the interpreter's storage mapping.
+func fabStore(f *fab.FAB) *store {
+	sy, sz, sc := f.Strides()
+	return &store{data: f.Data(), lo: f.Box().Lo, str: [3]int{1, sy, sz}, sc: sc}
+}
+
+// newStore allocates a buffer description over base, the box its Level
+// scopes it to (the valid box for the untiled programs interpreted here).
+func newStore(bd BufferDesc, base box.Box) *store {
+	b := base.Grow(bd.Grow)
+	if bd.Dir >= 0 {
+		b = b.SurroundingFaces(bd.Dir)
+	}
 	sz := b.Size()
-	return flatGrid{lo: b.Lo, sy: sz[0], szr: sz[0] * sz[1], sc: sz.Prod()}
+	s := &store{lo: b.Lo}
+	switch bd.Kind {
+	case "full":
+		s.str = [3]int{1, sz[0], sz[0] * sz[1]}
+		s.sc = sz.Prod()
+	case "ring":
+		s.dir, s.depth, s.slot = bd.Dir, bd.Depth, 1
+		for _, a := range bd.Inner {
+			s.str[a] = s.slot
+			s.slot *= sz[a]
+		}
+		s.sc = s.depth * s.slot
+	default:
+		panic(fmt.Sprintf("codegen: unknown buffer kind %q", bd.Kind))
+	}
+	s.data = make([]float64, s.sc*bd.Comps)
+	return s
 }
 
-func (g flatGrid) loc(p ivect.IntVect, c int) int {
-	return (p[0] - g.lo[0]) + g.sy*(p[1]-g.lo[1]) + g.szr*(p[2]-g.lo[2]) + g.sc*c
+func (s *store) loc(p ivect.IntVect, c int) int {
+	i := c * s.sc
+	for a := 0; a < 3; a++ {
+		i += s.str[a] * (p[a] - s.lo[a])
+	}
+	if s.depth > 0 {
+		i += (p[s.dir] - s.lo[s.dir]) % s.depth * s.slot
+	}
+	return i
 }
 
-// temporalData carries the interpreter storage of a temporal sweep: the
-// K*NGhost-grown state, the divergence accumulator, and per-direction
-// flux/velocity temporaries over the (K-1)*NGhost-grown face boxes.
+// temporalData carries the interpreter storage of a temporal sweep: phi0,
+// phi1 and one store per described buffer.
 type temporalData struct {
-	phi0, phi1 *fab.FAB
-	valid      box.Box
-	state, acc []float64
-	flux, vel  [3][]float64
-	stateG     flatGrid
-	accG       flatGrid
-	faceG      [3]flatGrid
+	phi0, phi1 *store
+	bufs       map[string]*store
 }
 
 // BuildTemporal materializes the untiled K-step description as an
@@ -233,89 +262,79 @@ type temporalData struct {
 // the K-step delta into phi1 — the interpreted reference the generated
 // temporal runners are differentially tested against.
 func BuildTemporal(phi0, phi1 *fab.FAB, valid box.Box, k int) *Program {
-	ng := kernel.NGhost
-	e := &temporalData{phi0: phi0, phi1: phi1, valid: valid}
-	stateB := valid.Grow(k * ng)
-	accB := valid.Grow((k - 1) * ng)
-	e.stateG = gridFor(stateB)
-	e.accG = gridFor(accB)
-	e.state = make([]float64, stateB.NumPts()*kernel.NComp)
-	e.acc = make([]float64, accB.NumPts()*kernel.NComp)
-	for d := 0; d < 3; d++ {
-		faces := accB.SurroundingFaces(d)
-		e.faceG[d] = gridFor(faces)
-		e.flux[d] = make([]float64, faces.NumPts()*kernel.NComp)
-		e.vel[d] = make([]float64, faces.NumPts())
-	}
 	pd := TemporalProg(k, 0)
+	e := &temporalData{phi0: fabStore(phi0), phi1: fabStore(phi1), bufs: map[string]*store{}}
+	e.bufs[Phi0] = e.phi0
+	for _, bd := range pd.Buffers {
+		e.bufs[bd.Name] = newStore(bd, valid)
+	}
 	vals := BoxParamValues(valid)
 	p := &Program{}
 	for _, st := range pd.Stmts {
+		dom := st.Domain.Bind(vals...).Set()
 		p.Add(&Statement{
 			Name:     st.Name,
-			Domain:   st.Domain.Bind(vals...).Set(),
+			Domain:   dom,
 			Schedule: st.Sched.Schedule(),
-			Body:     e.body(st),
+			Body:     e.body(st, dom),
 		})
 	}
 	return p
 }
 
-// tPointOf maps a (k, z, y, x) iteration vector to its grid point.
-func tPointOf(x []int) ivect.IntVect { return ivect.New(x[3], x[2], x[1]) }
-
 // body resolves a temporal statement macro to its What over the
-// interpreter storage. The floating-point expressions are written exactly
-// as in kernel.Reference (and the generated runners), so all three agree
-// bitwise.
-func (e *temporalData) body(st StmtDesc) func([]int) {
-	c, d := st.Comp, st.Dir
+// interpreter storage. A row statement runs cell by cell, as rows of
+// length one through the same internal/kernel row kernels the generated
+// runners call with whole rows: the carried low-face fluxes come from the
+// rings, and a cell whose predecessor along an axis lies outside the
+// statement's domain seeds that flux by direct recomputation.
+func (e *temporalData) body(st StmtDesc, dom *poly.Set) func([]int) {
+	c := st.Comp
+	src := e.bufs[st.Bufs[0]]
+	if st.Macro == "sflux1" {
+		d, out := st.Dir, e.bufs[st.Bufs[1]]
+		return func(x []int) {
+			p := pointOf(x)
+			out.data[out.loc(p, 0)] = kernel.FaceAvg(src.data, src.loc(p, c), src.str[d])
+		}
+	}
+	var vel, flux [3]*store
+	for d := 0; d < 3; d++ {
+		vel[d], flux[d] = e.bufs[st.Bufs[1+d]], e.bufs[st.Bufs[4+d]]
+	}
+	var step func(p ivect.IntVect, o int, vx, vy, vz, fy, fz []float64, fxlo float64) float64
 	switch st.Macro {
-	case "scopy":
-		return func(x []int) {
-			p := tPointOf(x)
-			e.state[e.stateG.loc(p, c)] = e.phi0.Get(p, c)
+	case "roweuler":
+		dst := e.bufs[st.Bufs[7]]
+		step = func(p ivect.IntVect, o int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
+			i := dst.loc(p, c)
+			return kernel.EulerRow(dst.data[i:i+1], src.data, o, src.str[1], src.str[2], vx, vy, vz, fy, fz, fxlo, -kernel.EulerDt)
 		}
-	case "szero":
-		return func(x []int) {
-			e.acc[e.accG.loc(tPointOf(x), c)] = 0
-		}
-	case "sflux1":
-		return func(x []int) {
-			p := tPointOf(x)
-			lo := p.Shift(d, -1)
-			v := kernel.C1*(e.state[e.stateG.loc(lo, c)]+e.state[e.stateG.loc(p, c)]) +
-				kernel.C2*(e.state[e.stateG.loc(lo.Shift(d, -1), c)]+e.state[e.stateG.loc(p.Shift(d, 1), c)])
-			e.flux[d][e.faceG[d].loc(p, c)] = v
-		}
-	case "vel":
-		return func(x []int) {
-			p := tPointOf(x)
-			e.vel[d][e.faceG[d].loc(p, 0)] = e.flux[d][e.faceG[d].loc(p, kernel.VelComp(d))]
-		}
-	case "flux2":
-		return func(x []int) {
-			p := tPointOf(x)
-			i := e.faceG[d].loc(p, c)
-			e.flux[d][i] = kernel.Flux2(e.vel[d][e.faceG[d].loc(p, 0)], e.flux[d][i])
-		}
-	case "sacc":
-		return func(x []int) {
-			p := tPointOf(x)
-			e.acc[e.accG.loc(p, c)] += e.flux[d][e.faceG[d].loc(p.Shift(d, 1), c)] - e.flux[d][e.faceG[d].loc(p, c)]
-		}
-	case "seuler":
-		return func(x []int) {
-			p := tPointOf(x)
-			e.state[e.stateG.loc(p, c)] += -kernel.EulerDt * e.acc[e.accG.loc(p, c)]
-		}
-	case "sdelta":
-		return func(x []int) {
-			p := tPointOf(x)
-			e.phi1.Set(p, c, e.phi1.Get(p, c)+(e.state[e.stateG.loc(p, c)]-e.phi0.Get(p, c)))
+	case "rowdelta":
+		step = func(p ivect.IntVect, o int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
+			i, b := e.phi1.loc(p, c), e.phi0.loc(p, c)
+			return kernel.EulerDeltaRow(e.phi1.data[i:i+1], e.phi0.data[b:b+1], src.data, o, src.str[1], src.str[2], vx, vy, vz, fy, fz, fxlo, -kernel.EulerDt)
 		}
 	default:
 		panic(fmt.Sprintf("codegen: unknown temporal macro %q", st.Macro))
+	}
+	pred := make([]int, 3)
+	return func(x []int) {
+		p := pointOf(x)
+		o := src.loc(p, c)
+		var lowFace, hiVel [3][]float64
+		for d := 0; d < 3; d++ {
+			i := flux[d].loc(p, 0)
+			lowFace[d] = flux[d].data[i : i+1]
+			copy(pred, x)
+			pred[2-d]-- // the (z, y, x) slot of axis d
+			if !dom.Contains(pred) {
+				kernel.SeedRow(lowFace[d], vel[d].data[vel[d].loc(p, 0):], src.data, o, src.str[d])
+			}
+			hiVel[d] = vel[d].data[vel[d].loc(p.Shift(d, 1), 0):]
+		}
+		fx := lowFace[0]
+		fx[0] = step(p, o, hiVel[0], hiVel[1], hiVel[2], lowFace[1], lowFace[2], fx[0])
 	}
 }
 

@@ -7,15 +7,15 @@ import (
 	"stencilsched/internal/machine"
 )
 
-// Temporal-blocking traffic model: one sweep of the internal/temporal
-// engine advances K Euler steps per tile, reading each tile's K-deep
-// ghosted state once and writing the K-stepped interior once. When the
-// per-tile working set fits the cache share, the sub-step temporaries
-// and the K-1 intermediate states never touch DRAM, so the per-step
-// traffic is roughly the single-step compulsory traffic divided by K
-// (plus the deeper halo re-reads). When the working set spills, every
-// sub-step streams like a separate series sweep and the temporal win
-// evaporates — the (tile, K) trade the autotuner searches.
+// Temporal-blocking traffic model: one sweep of a generated Temporal K*
+// runner (codegen.TemporalProg) advances K Euler steps per tile, reading
+// each tile's K-deep ghosted state once and writing the K-stepped interior
+// once. When the per-tile working set fits the cache share, the sub-step
+// temporaries and the K-1 intermediate states never touch DRAM, so the
+// per-step traffic is roughly the single-step compulsory traffic divided
+// by K (plus the deeper halo re-reads). When the working set spills, every
+// sub-step streams like a separate sweep and the temporal win evaporates —
+// the (tile, K) trade the autotuner searches.
 
 // TemporalTraffic is the modeled DRAM movement of temporal blocking at
 // one (tile, K) point, normalized per Euler step.
@@ -36,19 +36,24 @@ type TemporalTraffic struct {
 
 // TemporalWorkingSetBytes returns the per-tile arena footprint of a
 // K-step temporal sweep with tile edge t (t <= 0 or t > n means the
-// whole n^3 box is one tile): the K-deep ghosted state, the (K-1)-deep
-// accumulator, and the widest sub-step's flux/velocity temporaries.
+// whole n^3 box is one tile), following codegen.TemporalProg's Where: the
+// ping-pong states that hold the output of sub-steps 0 and 1 (sub-step 0
+// reads phi0 in place and the last one writes phi1, so K=1 has none and
+// K=2 one), the three velocity face fields of the widest sub-step, and
+// the carried y row and z plane of its fused sweep.
 func TemporalWorkingSetBytes(n, tile, k int) int64 {
-	t := int64(tileEdge(n, tile))
 	ng := int64(kernel.NGhost)
 	c := int64(kernel.NComp)
-	cube := func(e int64) int64 { return e * e * e }
-	state := c * cube(t+2*int64(k)*ng)
-	acc := c * cube(t+2*int64(k-1)*ng)
-	// The widest sub-step runs the series schedule over the acc region:
-	// C flux components plus one velocity field on its faces.
-	faces := (c + 1) * cube(t+2*int64(k-1)*ng+1)
-	return (state + acc + faces) * 8
+	// e is the edge of the widest sub-step's region: the tile grown by
+	// the K-1 later sub-steps' reach.
+	e := int64(tileEdge(n, tile)) + 2*int64(k-1)*ng
+	var floats int64
+	for i := int64(0); i < 2 && i < int64(k-1); i++ {
+		s := e - 2*i*ng
+		floats += c * s * s * s
+	}
+	floats += 3*(e+1)*e*e + e + e*e
+	return floats * 8
 }
 
 // tileEdge clamps the configured tile edge to the box.
@@ -107,8 +112,8 @@ func TemporalTrafficBytes(n, tile, k int, m machine.Machine, p int) TemporalTraf
 	haloEff := 1 + (halo-1)*(1-HaloL3SharingFactor)
 	sweep := c*n3*8*haloEff + 2*c*n3*8
 
-	// Spilled tiles stream their sub-step temporaries like K separate
-	// series sweeps over the recompute-inflated regions; blend between
+	// Spilled tiles stream their sub-step states like K separate sweeps
+	// over the recompute-inflated regions; blend between
 	// the regimes as the working set outgrows the share (same machinery
 	// as TrafficBytes).
 	rf := temporalRecompute(n, tile, k)

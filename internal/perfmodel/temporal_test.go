@@ -1,9 +1,15 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
+	"stencilsched/internal/box"
+	"stencilsched/internal/fab"
+	"stencilsched/internal/kernel"
 	"stencilsched/internal/machine"
+	"stencilsched/internal/scratch"
+	"stencilsched/internal/variants/generated"
 )
 
 func TestTemporalWorkingSetGrowsWithK(t *testing.T) {
@@ -117,5 +123,28 @@ func TestTemporalTrafficBytesPanicsOnBadArgs(t *testing.T) {
 			}()
 			TemporalTrafficBytes(c.n, 8, c.k, machine.IvyBridgeDesktop(), 1)
 		}()
+	}
+}
+
+// TestTemporalWorkingSetMatchesArenaPeak pins the modeled working set to
+// what the generated runner actually draws from its arena — the benchmark's
+// geometry, 48^3 in 32^3 tiles at K=2 — so the model and the schedule
+// description cannot drift apart.
+func TestTemporalWorkingSetMatchesArenaPeak(t *testing.T) {
+	const n, tile, k = 48, 32, 2
+	saved := scratch.Default
+	scratch.Default = scratch.NewPool() // a pool whose only arena is the runner's
+	defer func() { scratch.Default = saved }()
+	valid := box.Cube(n)
+	phi0 := fab.New(valid.Grow(k*kernel.NGhost), kernel.NComp)
+	phi1 := fab.New(valid, kernel.NComp)
+	if err := generated.RunTemporalK2OT32(phi0, phi1, valid, 1); err != nil {
+		t.Fatal(err)
+	}
+	peak := scratch.Default.Checkout().PeakBytes()
+	model := TemporalWorkingSetBytes(n, tile, k)
+	if math.Abs(float64(model-peak)) > 0.1*float64(peak) {
+		t.Errorf("modeled working set %d B, arena high-water mark %d B: more than 10%% apart", model, peak)
+
 	}
 }

@@ -153,8 +153,46 @@ func sameShape(a, b linExpr) bool {
 	return true
 }
 
+// divExpr is a parsed bound: an affine expression, optionally under a
+// floor or ceiling division by a positive constant (fn "fdiv"/"cdiv", the
+// tile-origin bounds of poly.Loops; fn "" for a bare affine bound).
+type divExpr struct {
+	fn  string
+	lin linExpr
+	div int
+}
+
+// parseDiv parses an affine bound or "fdiv(affine, k)" / "cdiv(affine, k)"
+// with a positive integer k.
+func parseDiv(s string) (divExpr, bool) {
+	if lin, ok := parseLin(s); ok {
+		return divExpr{lin: lin}, true
+	}
+	if len(s) < 6 || (s[:5] != "fdiv(" && s[:5] != "cdiv(") || s[len(s)-1] != ')' {
+		return divExpr{}, false
+	}
+	i := strings.LastIndexByte(s, ',')
+	if i < 0 {
+		return divExpr{}, false
+	}
+	lin, ok := parseLin(s[5:i])
+	k, err := strconv.Atoi(strings.TrimSpace(s[i+1 : len(s)-1]))
+	if !ok || err != nil || k <= 0 {
+		return divExpr{}, false
+	}
+	return divExpr{fn: s[:4], lin: lin, div: k}, true
+}
+
+func (e divExpr) render() string {
+	if e.fn == "" {
+		return e.lin.render()
+	}
+	return fmt.Sprintf("%s(%s, %d)", e.fn, e.lin.render(), e.div)
+}
+
 // foldBound folds candidate bound expressions into one: fn is "min" or
-// "max". Expressions that parse to the same affine shape fold exactly by
+// "max". Expressions that parse to the same affine shape — bare, or under
+// the same division, which is monotone in its numerator — fold exactly by
 // constant comparison; anything else falls back to the min/max builtins
 // (evaluated once, in the emitted bound locals).
 func foldBound(fn string, exprs []string) string {
@@ -168,25 +206,20 @@ func foldBound(fn string, exprs []string) string {
 			uniq = append(uniq, e)
 		}
 	}
-	// Exact symbolic fold among same-shape affine expressions.
-	for len(uniq) > 1 {
-		a, okA := parseLin(uniq[0])
-		merged := false
-		for i := 1; i < len(uniq) && okA; i++ {
-			b, okB := parseLin(uniq[i])
-			if okB && sameShape(a, b) {
-				keep := a
-				if (fn == "min") == (b.c < a.c) {
-					keep = b
-				}
-				uniq[0] = keep.render()
-				uniq = append(uniq[:i], uniq[i+1:]...)
-				merged = true
-				break
+	// Exact symbolic fold among same-shape expressions.
+	for i := 0; i < len(uniq); i++ {
+		a, okA := parseDiv(uniq[i])
+		for j := i + 1; j < len(uniq) && okA; {
+			b, okB := parseDiv(uniq[j])
+			if !okB || a.fn != b.fn || a.div != b.div || !sameShape(a.lin, b.lin) {
+				j++
+				continue
 			}
-		}
-		if !merged {
-			break
+			if (fn == "min") == (b.lin.c < a.lin.c) {
+				a = b
+			}
+			uniq[i] = a.render()
+			uniq = append(uniq[:j], uniq[j+1:]...)
 		}
 	}
 	out := uniq[0]
@@ -197,15 +230,16 @@ func foldBound(fn string, exprs []string) string {
 }
 
 // canonExpr rewrites a bound expression to canonical form: affine
-// expressions are re-rendered (normalizing "-(...)" negations), and
-// cdiv/fdiv calls with constant arguments are evaluated (tile-origin
-// bounds over constant extents come out as plain integers).
+// expressions are re-rendered (normalizing "-(...)" negations), also
+// under a cdiv/fdiv, and cdiv/fdiv calls with constant arguments are
+// evaluated (tile-origin bounds over constant extents come out as plain
+// integers).
 func canonExpr(e string) string {
-	if p, ok := parseLin(e); ok {
-		return p.render()
-	}
 	if v, ok := evalConstDiv(e); ok {
 		return strconv.Itoa(v)
+	}
+	if p, ok := parseDiv(e); ok {
+		return p.render()
 	}
 	return e
 }
@@ -213,28 +247,17 @@ func canonExpr(e string) string {
 // evalConstDiv evaluates "cdiv(a, b)" or "fdiv(a, b)" when both
 // arguments are integer constants.
 func evalConstDiv(s string) (int, bool) {
-	ceil := strings.HasPrefix(s, "cdiv(")
-	if !ceil && !strings.HasPrefix(s, "fdiv(") {
+	e, ok := parseDiv(s)
+	if !ok || e.fn == "" || len(e.lin.coef) != 0 {
 		return 0, false
 	}
-	if !strings.HasSuffix(s, ")") {
-		return 0, false
-	}
-	as, bs, ok := strings.Cut(s[5:len(s)-1], ",")
-	if !ok {
-		return 0, false
-	}
-	a, okA := parseLin(as)
-	b, okB := parseLin(bs)
-	if !okA || !okB || len(a.coef) != 0 || len(b.coef) != 0 || b.c <= 0 {
-		return 0, false
-	}
-	q := a.c / b.c
-	if ceil {
-		if a.c%b.c != 0 && a.c > 0 {
+	a, b := e.lin.c, e.div
+	q := a / b
+	if e.fn == "cdiv" {
+		if a%b != 0 && a > 0 {
 			q++
 		}
-	} else if a.c%b.c != 0 && a.c < 0 {
+	} else if a%b != 0 && a < 0 {
 		q--
 	}
 	return q, true

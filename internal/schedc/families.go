@@ -47,10 +47,10 @@ func Families() []Family {
 			FileName: "shiftfuse.gen.go",
 			Comment: "RunShiftFuse executes the fully shifted-and-fused schedule of\n" +
 				"Section IV-B compiled from its description: three velocity\n" +
-				"pre-passes, then one sweep per component over the cells in which\n" +
-				"the three face fluxes are computed one iteration ahead (shift -1)\n" +
-				"and consumed from parity rings — the carried scalar/row/plane\n" +
-				"caches of the hand-written family, derived from the storage rule.",
+				"pre-passes, then per component one row statement over the cells —\n" +
+				"kernel.FusedRow computes a row's three high-face fluxes and\n" +
+				"consumes the low-face ones carried in a register (x), a row (y)\n" +
+				"and a plane (z), the depth-one rings of the storage rule.",
 			Progs: []codegen.ProgramDesc{ShiftFuseProg()},
 		},
 		{
@@ -102,11 +102,12 @@ func temporalFamily(k, edge int) Family {
 	}
 	f.Comment = fmt.Sprintf(
 		"%s executes %d explicit Euler steps per sweep (temporal blocking)\n"+
-			"compiled from codegen.TemporalProg: the k axis of the When clause\n"+
-			"shrinks each sub-step's region by NGhost (the wavefront in time),\n"+
-			"with %s grown by the deepest sub-step's\n"+
-			"reach. phi1 accumulates the K-step delta state_K - phi0, bitwise\n"+
-			"identical to composing kernel.Reference %d times.",
+			"compiled from codegen.TemporalProg: sub-step j is a fused row-statement\n"+
+			"sweep over the region grown by (K-1-j)*NGhost (the wavefront in time),\n"+
+			"reading phi0 in place, then ping-pong states, with\n"+
+			"%s. The last sub-step adds the\n"+
+			"K-step delta state_K - phi0 to phi1, bitwise identical to composing\n"+
+			"kernel.Reference %d times.",
 		f.FuncName, k, where, k)
 	return f
 }
@@ -120,109 +121,43 @@ func fext(d int) [3]int {
 
 var dirName = [3]string{"X", "Y", "Z"}
 
-// innerAxes lists the axes stored per ring slot for a ring along
-// direction d in the (z, y, x) nest: exactly the axes iterated inside
-// d's own loop level, innermost first — which yields the scalar (x),
-// row (y), and plane (z) carried caches of the hand-written sweeps.
-func innerAxes(d int) []int {
-	var inner []int
-	for a := 0; a < d; a++ {
-		inner = append(inner, a)
-	}
-	return inner
-}
-
 // ShiftFuseProg describes the fully fused schedule: velocity pre-passes
 // at the first three top-level positions, then per component (CLO, the
-// studied order) a fused sweep in which fluxX/fluxY/fluxZ are shifted by
-// -1 at their direction's loop level and the unshifted accumulation
-// reads both ring parities.
+// studied order) one row statement over the cells, whose low-face fluxes
+// are carried in depth-one rings along each direction.
 func ShiftFuseProg() codegen.ProgramDesc {
 	pd := codegen.ProgramDesc{
 		Name: "shiftfuse",
 		Vars: codegen.LoopVarNames(),
 	}
-	var velB, fluxB [3]string
+	row := []string{codegen.Phi0}
+	var fluxB [3]string
 	for d := 0; d < 3; d++ {
-		velB[d] = "vel" + dirName[d]
+		velB := "vel" + dirName[d]
 		fluxB[d] = "flux" + dirName[d]
 		pd.Buffers = append(pd.Buffers,
-			codegen.BufferDesc{Name: velB[d], Kind: "full", Dir: d, Comps: 1},
-			codegen.BufferDesc{Name: fluxB[d], Kind: "ring", Dir: d, Comps: 1, Depth: 2, Inner: innerAxes(d)},
+			codegen.BufferDesc{Name: velB, Kind: "full", Dir: d, Comps: 1},
+			codegen.BufferDesc{Name: fluxB[d], Kind: "ring", Dir: d, Comps: 1, Depth: 1, Inner: codegen.CarriedAxes(d)},
 		)
-	}
-	cells := codegen.BoxDomainDesc(0, [3]int{})
-	for d := 0; d < 3; d++ {
 		pd.Stmts = append(pd.Stmts, codegen.StmtDesc{
-			Name: "vel" + dirName[d], Macro: "flux1", Dir: d, Comp: kernel.VelComp(d),
-			Bufs:   []string{velB[d]},
+			Name: velB, Macro: "flux1", Dir: d, Comp: kernel.VelComp(d),
+			Bufs:   []string{velB},
 			Domain: codegen.BoxDomainDesc(0, fext(d)),
 			Sched:  codegen.ScatterDesc(3, d, 0, 0, 0),
 		})
+		row = append(row, velB)
 	}
+	row = append(row, fluxB[:]...)
+	cells := codegen.BoxDomainDesc(0, [3]int{})
 	for c := 0; c < kernel.NComp; c++ {
-		top := 3 + c
-		for d := 0; d < 3; d++ {
-			pd.Stmts = append(pd.Stmts, codegen.StmtDesc{
-				Name: fmt.Sprintf("flux%s-c%d", dirName[d], c), Macro: "fluxdir", Dir: d, Comp: c,
-				Bufs:   []string{velB[d], fluxB[d]},
-				Domain: codegen.BoxDomainDesc(0, fext(d)),
-				Sched:  codegen.ScatterDesc(3, top, 0, 0, d).Shift(2-d, -1),
-			})
-		}
 		pd.Stmts = append(pd.Stmts, codegen.StmtDesc{
-			Name: fmt.Sprintf("acc-c%d", c), Macro: "accfused", Dir: 0, Comp: c,
-			Bufs:   []string{fluxB[0], fluxB[1], fluxB[2]},
+			Name: fmt.Sprintf("acc-c%d", c), Macro: "rowacc", Dir: -1, Comp: c,
+			Bufs:   row,
 			Domain: cells,
-			Sched:  codegen.ScatterDesc(3, top, 0, 0, 3),
+			Sched:  codegen.ScatterDesc(3, 3+c, 0, 0, 0),
 		})
 	}
 	return pd
-}
-
-// tileDomain builds the 12-dimensional domain of one overlapped-tile
-// statement: box parameters, tile-origin variables (tz, ty, tx), and the
-// spatial loops (z, y, x). Each axis is confined to its tile of edge E
-// clipped to the valid box, with the high side extended by ext[axis]
-// (the face boxes of the tile — faces on shared tile surfaces belong to
-// both neighbors, which is the overlap).
-func tileDomain(E int, ext [3]int) codegen.SetDesc {
-	const dim = codegen.NumBoxParams + 6
-	d := codegen.SetDesc{Dim: dim}
-	add := func(coef []int, c int) {
-		d.Cons = append(d.Cons, codegen.AffineDesc{Coef: coef, Const: c})
-	}
-	for lvl := 0; lvl < 3; lvl++ {
-		axis := 2 - lvl
-		ti := codegen.NumBoxParams + lvl     // tile-origin variable
-		li := codegen.NumBoxParams + 3 + lvl // spatial loop variable
-		// v >= lo (valid box)
-		lo := make([]int, dim)
-		lo[li], lo[2*axis] = 1, -1
-		add(lo, 0)
-		// v <= hi + ext (valid box, face-extended)
-		hi := make([]int, dim)
-		hi[li], hi[2*axis+1] = -1, 1
-		add(hi, ext[axis])
-		// v >= lo + E*t (tile low edge)
-		tl := make([]int, dim)
-		tl[li], tl[2*axis], tl[ti] = 1, -1, -E
-		add(tl, 0)
-		// v <= lo + E*t + E-1 + ext (tile high edge, face-extended)
-		th := make([]int, dim)
-		th[li], th[2*axis], th[ti] = -1, 1, E
-		add(th, E-1+ext[axis])
-		// t >= 0 and lo + E*t <= hi: only tiles whose origin lies in the
-		// valid box exist — otherwise the face extension would admit a
-		// phantom boundary tile computing faces no cell consumes.
-		t0 := make([]int, dim)
-		t0[ti] = 1
-		add(t0, 0)
-		t1 := make([]int, dim)
-		t1[ti], t1[2*axis], t1[2*axis+1] = -E, -1, 1
-		add(t1, 0)
-	}
-	return d
 }
 
 // OT16Prog describes Basic-Sched OT-16: three tile-origin loops, and
@@ -245,7 +180,7 @@ func OT16Prog() codegen.ProgramDesc {
 			codegen.BufferDesc{Name: velB[d], Kind: "full", Dir: d, Comps: 1, Level: 3},
 		)
 	}
-	cells := tileDomain(E, [3]int{})
+	cells := codegen.RegionDomainDesc(E, 0, [3]int{})
 	seq := 0
 	sched := func() codegen.ScheduleDesc {
 		s := codegen.ScatterDesc(6, 0, 0, 0, seq, 0, 0, 0)
@@ -253,7 +188,7 @@ func OT16Prog() codegen.ProgramDesc {
 		return s
 	}
 	for d := 0; d < 3; d++ {
-		faces := tileDomain(E, fext(d))
+		faces := codegen.RegionDomainDesc(E, 0, fext(d))
 		for c := 0; c < kernel.NComp; c++ {
 			pd.Stmts = append(pd.Stmts, codegen.StmtDesc{
 				Name: fmt.Sprintf("flux1%s-c%d", dirName[d], c), Macro: "flux1", Dir: d, Comp: c,

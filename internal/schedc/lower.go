@@ -29,19 +29,23 @@ type guard struct {
 	cond  string
 }
 
+// spatialLevel returns the loop level of the spatial loop variable of
+// axis a (tile-origin variables carry no axis of their own).
+func spatialLevel(vars []string, a int) int {
+	for lvl := len(vars) - 1; lvl >= 0; lvl-- {
+		if ax, _ := axisOf(vars[lvl]); ax == a && !isTileVar(vars[lvl]) {
+			return lvl
+		}
+	}
+	panic(fmt.Sprintf("schedc: no loop variable for axis %d", a))
+}
+
 // axisExpr returns the statement's iteration-coordinate expression for
 // spatial axis a in terms of the loop variables (time coordinates): the
 // loop variable minus the schedule shift at the axis's level.
 func (ls *loweredStmt) axisExpr(vars []string, a int) string {
-	for lvl := len(vars) - 1; lvl >= 0; lvl-- {
-		if isTileVar(vars[lvl]) || isTimeVar(vars[lvl]) {
-			continue
-		}
-		if ax, _ := axisOf(vars[lvl]); ax == a {
-			return addConst(vars[lvl], -ls.shifts[lvl])
-		}
-	}
-	panic(fmt.Sprintf("schedc: no loop variable for axis %d", a))
+	lvl := spatialLevel(vars, a)
+	return addConst(vars[lvl], -ls.shifts[lvl])
 }
 
 // timeDomain translates a statement's iteration domain to its time domain
@@ -160,11 +164,18 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 			e.printf("%sif %s {\n", ind, strings.Join(hoisted, " && "))
 			bind += "\t"
 		}
-		e.printf("%s{\n", bind)
-		inner := bind + "\t"
-		e.printf("%s%sHi := %s\n", inner, v, hi)
-		body := inner + "\t"
+		var row *loweredStmt
 		if level == nvars-1 {
+			row = rowMember(p.members)
+		}
+		switch {
+		case row != nil:
+			// A row statement: its kernel call stands where the x loop
+			// would, in a block of its own for the row's locals.
+			e.printf("%s{\n", bind)
+			e.emitRow(row, lo, hi, bind+"\t")
+			e.printf("%s}\n", bind)
+		case level == nvars-1:
 			// Innermost loop: emit its body into a side buffer while the
 			// hoist set collects the row-invariant parts of every index
 			// expression, then place those as locals above the loop —
@@ -174,26 +185,28 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 			sub := new(strings.Builder)
 			saved := e.b
 			e.b = sub
-			e.emitNest(p.members, level+1, body)
+			e.emitNest(p.members, level+1, bind+"\t\t")
 			e.b = saved
+			e.printf("%s{\n", bind)
 			for _, dcl := range e.hoist.decls {
-				e.printf("%s%s := %s\n", inner, dcl.name, dcl.expr)
+				e.printf("%s\t%s := %s\n", bind, dcl.name, dcl.expr)
 			}
 			e.hoist = nil
-			e.printf("%sfor %s := %s; %s <= %sHi; %s++ {\n", inner, v, lo, v, v, v)
+			e.printf("%s\tfor %s, %sHi := %s, %s; %s <= %sHi; %s++ {\n", bind, v, v, lo, hi, v, v, v)
 			e.b.WriteString(sub.String())
-		} else {
-			e.printf("%sfor %s := %s; %s <= %sHi; %s++ {\n", inner, v, lo, v, v, v)
+			e.printf("%s\t}\n", bind)
+			e.printf("%s}\n", bind)
+		default:
+			e.printf("%sfor %s, %sHi := %s, %s; %s <= %sHi; %s++ {\n", bind, v, v, lo, hi, v, v, v)
 			// Tile-local storage: allocated once all tile-origin loops are
 			// entered, released per iteration of the innermost tile loop.
-			rewind := e.emitScopedBuffers(level+1, body)
-			e.emitNest(p.members, level+1, body)
+			rewind := e.emitScopedBuffers(level+1, bind+"\t")
+			e.emitNest(p.members, level+1, bind+"\t")
 			if rewind != "" {
-				e.printf("%s%s\n", body, rewind)
+				e.printf("%s\t%s\n", bind, rewind)
 			}
+			e.printf("%s}\n", bind)
 		}
-		e.printf("%s}\n", inner)
-		e.printf("%s}\n", bind)
 		if len(hoisted) > 0 {
 			e.printf("%s}\n", ind)
 		}
@@ -267,4 +280,21 @@ func (e *emitter) emitBody(ls *loweredStmt, ind string) {
 		return
 	}
 	e.emitMacro(ls, ind)
+}
+
+// rowMember returns the row statement of a group emitted at the
+// innermost level, nil when the group is ordinary per-point
+// statements. A row statement owns its whole x range, so it cannot share
+// that level with another statement.
+func rowMember(members []*loweredStmt) *loweredStmt {
+	for _, ls := range members {
+		if isRowMacro(ls.st.Macro) {
+			if len(members) > 1 {
+				panic(fmt.Sprintf("schedc: row statement %s is fused with %d other statements at the x level",
+					ls.st.Name, len(members)-1))
+			}
+			return ls
+		}
+	}
+	return nil
 }

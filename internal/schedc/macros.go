@@ -117,29 +117,34 @@ func (e *emitter) emitBufPrelude(bi *bufInfo, hi [3]string, ind string) {
 		e.printf("%s%s := %s * (%s)\n", ind, bi.sc, bi.sz, bi.extentExpr(2, hi))
 		e.printf("%s%s := ar.Floats(%s * %d)\n", ind, n, bi.sc, bi.d.Comps)
 	case "ring":
-		if bi.d.Depth != 2 {
+		if bi.d.Depth != 1 && bi.d.Depth != 2 {
 			panic(fmt.Sprintf("schedc: ring %s depth %d unsupported", n, bi.d.Depth))
-		}
-		if bi.d.Grow != 0 {
-			panic(fmt.Sprintf("schedc: ring %s cannot grow", n))
 		}
 		switch len(bi.d.Inner) {
 		case 0:
 			bi.slot = "1"
-			e.printf("%s%s := ar.Floats(%d)\n", ind, n, 2*bi.d.Comps)
+			if bi.d.Depth == 1 {
+				// One carried scalar: a register of the row kernel.
+				return
+			}
+			e.printf("%s%s := ar.Floats(%d)\n", ind, n, bi.d.Depth*bi.d.Comps)
+			return
 		case 1:
 			bi.slot = n + "Slot"
 			e.printf("%s%s := %s\n", ind, bi.slot, bi.extentExpr(bi.d.Inner[0], hi))
-			e.printf("%s%s := ar.Floats(2 * %s * %d)\n", ind, n, bi.slot, bi.d.Comps)
 		case 2:
 			bi.innerS = n + "SIn"
 			bi.slot = n + "Slot"
 			e.printf("%s%s := %s\n", ind, bi.innerS, bi.extentExpr(bi.d.Inner[0], hi))
 			e.printf("%s%s := %s * (%s)\n", ind, bi.slot, bi.innerS, bi.extentExpr(bi.d.Inner[1], hi))
-			e.printf("%s%s := ar.Floats(2 * %s * %d)\n", ind, n, bi.slot, bi.d.Comps)
 		default:
 			panic(fmt.Sprintf("schedc: ring %s with %d inner axes", n, len(bi.d.Inner)))
 		}
+		size := bi.slot
+		if k := bi.d.Depth * bi.d.Comps; k != 1 {
+			size = fmt.Sprintf("%d * %s", k, bi.slot)
+		}
+		e.printf("%s%s := ar.Floats(%s)\n", ind, n, size)
 	default:
 		panic(fmt.Sprintf("schedc: unknown buffer kind %q", bi.d.Kind))
 	}
@@ -161,6 +166,9 @@ func (e *emitter) index(bi *bufInfo, ax [3]string, c int) string {
 		}
 		return e.reduce(ax[0], row)
 	case "ring":
+		if bi.d.Depth != 2 {
+			panic(fmt.Sprintf("schedc: ring %s of depth %d is carried storage, indexed by row statements only", bi.d.Name, bi.d.Depth))
+		}
 		d := bi.d.Dir
 		if d == 0 {
 			// Parity on the innermost axis: nothing to hoist, and the
@@ -245,15 +253,31 @@ func bufOrder(pd *codegen.ProgramDesc) []string {
 	return names
 }
 
-// dirStride0 is the phi0 stride expression of direction d.
-func dirStride0(d int) string {
-	return [...]string{"1", "s0y", "s0z"}[d]
+// operand is a stencil source resolved to emitted names: the component
+// slice, its y and z stride expressions and the flat offset of a point.
+// It is phi0 (the reserved buffer name codegen.Phi0) or a full buffer —
+// the ping-pong states of the temporal sweeps.
+type operand struct {
+	slice  string
+	sy, sz string
+	off    func(ax [3]string) string
 }
 
-// bufDirStride is a full buffer's stride expression along direction d,
-// for stencils reading the buffer itself (the temporal state).
-func bufDirStride(bi *bufInfo, d int) string {
-	return [...]string{"1", bi.sy, bi.sz}[d]
+// dirStride is the operand's stride expression along direction d.
+func (o operand) dirStride(d int) string {
+	return [...]string{"1", o.sy, o.sz}[d]
+}
+
+func (e *emitter) operand(name string, c int) operand {
+	if name == codegen.Phi0 {
+		return operand{slice: fmt.Sprintf("p0_%d", c), sy: "s0y", sz: "s0z", off: e.off0}
+	}
+	bi, ok := e.bufs[name]
+	if !ok || bi.d.Kind != "full" {
+		panic(fmt.Sprintf("schedc: %q is not a stencil source (phi0 or a full buffer)", name))
+	}
+	return operand{slice: name, sy: bi.sy, sz: bi.sz,
+		off: func(ax [3]string) string { return e.index(bi, ax, c) }}
 }
 
 // faceAvgExpr is the textual expansion of kernel.FaceAvg(ph, off, s):
@@ -298,6 +322,15 @@ func shiftAxis(ax [3]string, a, k int) [3]string {
 	return out
 }
 
+// buf resolves the i-th buffer operand of a statement.
+func (e *emitter) buf(st *codegen.StmtDesc, i int) *bufInfo {
+	bi, ok := e.bufs[st.Bufs[i]]
+	if !ok {
+		panic(fmt.Sprintf("schedc: statement %s: unknown buffer %q", st.Name, st.Bufs[i]))
+	}
+	return bi
+}
+
 // emitMacro expands one statement instance. Every macro writes exactly
 // the expressions of the interpreted Whats (the faceAvgExpr expansion of
 // kernel.FaceAvg, kernel.Flux2, x-y-z accumulation order), so the
@@ -306,22 +339,22 @@ func (e *emitter) emitMacro(ls *loweredStmt, ind string) {
 	st := ls.st
 	ax := e.axes(ls)
 	d := st.Dir
-	buf := func(i int) *bufInfo {
-		bi, ok := e.bufs[st.Bufs[i]]
-		if !ok {
-			panic(fmt.Sprintf("schedc: statement %s: unknown buffer %q", st.Name, st.Bufs[i]))
-		}
-		return bi
-	}
+	buf := func(i int) *bufInfo { return e.buf(st, i) }
 	switch st.Macro {
-	case "flux1":
-		// Fourth-order face average of component Comp into Bufs[0].
-		f := buf(0)
+	case "flux1", "sflux1":
+		// Fourth-order face average of component Comp: "flux1" of phi0
+		// into Bufs[0], "sflux1" of a source state (Bufs[0]: phi0 or a
+		// ping-pong buffer) into Bufs[1].
+		from, to := codegen.Phi0, 0
+		if st.Macro == "sflux1" {
+			from, to = st.Bufs[0], 1
+		}
+		src, f := e.operand(from, st.Comp), buf(to)
 		e.printf("%s{\n", ind)
-		e.printf("%s\to0 := %s\n", ind, e.off0(ax))
+		e.printf("%s\tsi := %s\n", ind, src.off(ax))
 		e.printf("%s\t%s[%s] = %s\n",
 			ind, f.d.Name, e.index(f, ax, st.Comp),
-			faceAvgExpr(fmt.Sprintf("p0_%d", st.Comp), "o0", dirStride0(d)))
+			faceAvgExpr(src.slice, "si", src.dirStride(d)))
 		e.printf("%s}\n", ind)
 	case "vel":
 		// Capture the advection velocity: Bufs[0] is the flux storage,
@@ -346,84 +379,79 @@ func (e *emitter) emitMacro(ls *loweredStmt, ind string) {
 		e.printf("%s\tp1_%d[o1] += %s[%s] - %s[%s]\n",
 			ind, st.Comp, f.d.Name, e.index(f, shiftAxis(ax, d, 1), st.Comp), f.d.Name, e.index(f, ax, st.Comp))
 		e.printf("%s}\n", ind)
-	case "fluxdir":
-		// One-shot flux of the fused families: velocity times face
-		// average, straight into the ring. Bufs[0] velocity (full),
-		// Bufs[1] flux ring.
-		v, f := buf(0), buf(1)
-		e.printf("%s{\n", ind)
-		e.printf("%s\to0 := %s\n", ind, e.off0(ax))
-		e.printf("%s\t%s[%s] = kernel.Flux2(%s[%s], %s)\n",
-			ind, f.d.Name, e.index(f, ax, st.Comp), v.d.Name, e.index(v, ax, 0),
-			faceAvgExpr(fmt.Sprintf("p0_%d", st.Comp), "o0", dirStride0(d)))
-		e.printf("%s}\n", ind)
-	case "accfused":
-		// Fused accumulation: all three direction contributions per
-		// cell, in x, y, z order, read from the direction rings.
-		// Bufs[0..2] are the x, y, z flux rings.
-		fx, fy, fz := buf(0), buf(1), buf(2)
-		c := st.Comp
-		e.printf("%s{\n", ind)
-		e.printf("%s\to1 := %s\n", ind, e.off1(ax))
-		e.printf("%s\tv := p1_%d[o1]\n", ind, c)
-		e.printf("%s\tv += %s[%s] - %s[%s]\n",
-			ind, fx.d.Name, e.index(fx, shiftAxis(ax, 0, 1), c), fx.d.Name, e.index(fx, ax, c))
-		e.printf("%s\tv += %s[%s] - %s[%s]\n",
-			ind, fy.d.Name, e.index(fy, shiftAxis(ax, 1, 1), c), fy.d.Name, e.index(fy, ax, c))
-		e.printf("%s\tv += %s[%s] - %s[%s]\n",
-			ind, fz.d.Name, e.index(fz, shiftAxis(ax, 2, 1), c), fz.d.Name, e.index(fz, ax, c))
-		e.printf("%s\tp1_%d[o1] = v\n", ind, c)
-		e.printf("%s}\n", ind)
-	case "scopy":
-		// Seed the temporal state from phi0 over the deepest grown box.
-		s := buf(0)
-		e.printf("%s{\n", ind)
-		e.printf("%s\to0 := %s\n", ind, e.off0(ax))
-		e.printf("%s\t%s[%s] = p0_%d[o0]\n", ind, s.d.Name, e.index(s, ax, st.Comp), st.Comp)
-		e.printf("%s}\n", ind)
-	case "szero":
-		// Zero the divergence accumulator for one sub-step's region.
-		a := buf(0)
-		e.printf("%s%s[%s] = 0\n", ind, a.d.Name, e.index(a, ax, st.Comp))
-	case "sflux1":
-		// Fourth-order face average read from the temporal state buffer
-		// (Bufs[0]) instead of phi0, written into the flux (Bufs[1]).
-		s, f := buf(0), buf(1)
-		e.printf("%s{\n", ind)
-		e.printf("%s\tsi := %s\n", ind, e.index(s, ax, st.Comp))
-		e.printf("%s\t%s[%s] = %s\n",
-			ind, f.d.Name, e.index(f, ax, st.Comp),
-			faceAvgExpr(s.d.Name, "si", bufDirStride(s, d)))
-		e.printf("%s}\n", ind)
-	case "sacc":
-		// Accumulate direction d's flux divergence into the accumulator
-		// buffer (Bufs[1]) rather than phi1 — the Euler update consumes it.
-		f, a := buf(0), buf(1)
-		e.printf("%s{\n", ind)
-		e.printf("%s\tai := %s\n", ind, e.index(a, ax, st.Comp))
-		e.printf("%s\t%s[ai] += %s[%s] - %s[%s]\n",
-			ind, a.d.Name, f.d.Name, e.index(f, shiftAxis(ax, d, 1), st.Comp), f.d.Name, e.index(f, ax, st.Comp))
-		e.printf("%s}\n", ind)
-	case "seuler":
-		// Explicit Euler update: state -= EulerDt * divergence, the same
-		// expression fab.Plus(acc, reg, -dt) evaluates in the engine.
-		a, s := buf(0), buf(1)
-		e.printf("%s{\n", ind)
-		e.printf("%s\tsi := %s\n", ind, e.index(s, ax, st.Comp))
-		e.printf("%s\t%s[si] += -kernel.EulerDt * %s[%s]\n",
-			ind, s.d.Name, a.d.Name, e.index(a, ax, st.Comp))
-		e.printf("%s}\n", ind)
-	case "sdelta":
-		// K-step delta writeback: phi1 += state_K - phi0 over the valid
-		// box (internal/temporal.AddDiff's expression).
-		s := buf(0)
-		e.printf("%s{\n", ind)
-		e.printf("%s\to0 := %s\n", ind, e.off0(ax))
-		e.printf("%s\to1 := %s\n", ind, e.off1(ax))
-		e.printf("%s\tp1_%d[o1] += %s[%s] - p0_%d[o0]\n",
-			ind, st.Comp, s.d.Name, e.index(s, ax, st.Comp), st.Comp)
-		e.printf("%s}\n", ind)
 	default:
 		panic(fmt.Sprintf("schedc: unknown macro %q", st.Macro))
+	}
+}
+
+// isRowMacro reports whether a statement macro is a row statement: its
+// What is a whole x-row kernel of internal/kernel rather than one point.
+func isRowMacro(name string) bool {
+	switch name {
+	case "rowacc", "roweuler", "rowdelta":
+		return true
+	}
+	return false
+}
+
+// emitRow lowers a row statement at the innermost level: no x loop is
+// emitted — the projected x bounds [lo, hi] become the length and first
+// offset of one row-kernel call. Bufs are the source state, the three
+// velocity fields, the three carried low-face flux rings (x: a register
+// of the kernel, y: a row, z: a plane) and, for "roweuler", the
+// destination state. A row on the low y or z face of the statement's
+// region has no predecessor to carry from, so its ring row is seeded by
+// kernel.SeedRow first; the low x face is seeded in the call.
+func (e *emitter) emitRow(ls *loweredStmt, lo, hi, ind string) {
+	st := ls.st
+	nvars := len(e.prog.Vars)
+	if ls.shifts[nvars-1] != 0 {
+		panic(fmt.Sprintf("schedc: row statement %s is shifted along its row", st.Name))
+	}
+	if len(ls.guards) > 0 {
+		panic(fmt.Sprintf("schedc: row statement %s needs per-point guards", st.Name))
+	}
+	ax := e.axes(ls)
+	ax[0] = "xLo"
+	c := st.Comp
+	src := e.operand(st.Bufs[0], c)
+	e.printf("%sxLo := %s\n", ind, lo)
+	e.printf("%sn := %s - xLo + 1\n", ind, hi)
+	e.printf("%so := %s\n", ind, src.off(ax))
+	var vel [3]*bufInfo
+	for d := 0; d < 3; d++ {
+		vel[d] = e.buf(st, 1+d)
+		e.printf("%sv%c := %s[%s:]\n", ind, "xyz"[d], vel[d].d.Name, e.index(vel[d], ax, 0))
+	}
+	for d := 1; d < 3; d++ {
+		f := e.buf(st, 4+d)
+		if f.d.Kind != "ring" || f.d.Depth != 1 || len(f.d.Inner) != d {
+			panic(fmt.Sprintf("schedc: row statement %s: %s is not the carried ring of direction %d", st.Name, f.d.Name, d))
+		}
+		idx := fmt.Sprintf("xLo - %s", f.base[0])
+		if d == 2 {
+			idx += fmt.Sprintf(" + %s*(%s - %s)", f.innerS, ax[1], f.base[1])
+		}
+		e.printf("%sf%c := %s[%s:][:n]\n", ind, "xyz"[d], f.d.Name, idx)
+		// First row / plane: the statement's own lower bound at the
+		// axis's loop level.
+		lvl := spatialLevel(e.prog.Vars, d)
+		e.printf("%sif %s == %s {\n", ind, e.prog.Vars[lvl], ls.loops[lvl].Lo)
+		e.printf("%s\tkernel.SeedRow(f%c, v%c, %s, o, %s)\n", ind, "xyz"[d], "xyz"[d], src.slice, src.dirStride(d))
+		e.printf("%s}\n", ind)
+	}
+	args := fmt.Sprintf("%s, o, %s, %s, vx[1:], vy[%s:], vz[%s:], fy, fz, kernel.Flux2(vx[0], kernel.FaceAvg(%s, o, 1))",
+		src.slice, src.sy, src.sz, vel[1].sy, vel[2].sz, src.slice)
+	switch st.Macro {
+	case "rowacc":
+		e.printf("%so1 := %s\n", ind, e.off1(ax))
+		e.printf("%skernel.FusedRow(p1_%d[o1:o1+n], %s)\n", ind, c, args)
+	case "roweuler":
+		dst := e.buf(st, 7)
+		e.printf("%sdi := %s\n", ind, e.index(dst, ax, c))
+		e.printf("%skernel.EulerRow(%s[di:di+n], %s, -kernel.EulerDt)\n", ind, dst.d.Name, args)
+	case "rowdelta":
+		e.printf("%so0, o1 := %s, %s\n", ind, e.off0(ax), e.off1(ax))
+		e.printf("%skernel.EulerDeltaRow(p1_%d[o1:o1+n], p0_%d[o0:o0+n], %s, -kernel.EulerDt)\n", ind, c, c, args)
 	}
 }

@@ -24,11 +24,17 @@
 //  4. statement macros expand to direct flat-offset array accesses
 //     (What), and buffer descriptions expand to scratch-arena
 //     allocations with full-array, ring (modulo-parity), or tile-local
-//     storage mappings (Where).
+//     storage mappings (Where);
+//  5. a row statement — a macro that is a whole x-row kernel — gets the
+//     outer loops of steps 1-3 and, where the x loop would be, one call
+//     of the shared row kernel in internal/kernel with the projected x
+//     bounds as its row length and first offsets (emitRow). The fused
+//     families lower this way: the emitted code is the loop structure,
+//     the arithmetic exists once.
 //
 // The emitted code depends only on the same packages the hand-written
-// variants use (fab, box, kernel, scratch) and funnels every flux
-// through kernel.FaceAvg/kernel.Flux2 with the per-cell x, y, z
+// variants use (fab, box, kernel, scratch) and evaluates every flux as
+// kernel.FaceAvg/kernel.Flux2 do, with the per-cell x, y, z
 // accumulation order, so generated runners are bit-identical to
 // kernel.Reference — the same conformance contract every hand-written
 // family satisfies.
@@ -80,12 +86,6 @@ func axisOf(name string) (int, error) {
 func isTileVar(name string) bool {
 	return len(name) == 2 && name[0] == 't'
 }
-
-// isTimeVar reports whether a loop variable is the temporal sub-step
-// axis. Like tile-origin variables it carries no spatial axis: macros
-// never index storage by k — the time axis only shapes the (shrinking)
-// statement domains.
-func isTimeVar(name string) bool { return name == "k" }
 
 // tileLevels returns the number of leading tile-origin loops of a
 // program (0 for untiled programs).

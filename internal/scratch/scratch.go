@@ -37,6 +37,7 @@ import (
 type Arena struct {
 	buf  []float64
 	off  int
+	peak int // high-water mark of off
 	fabs []*fab.FAB
 	nfab int
 	pool *Pool // owner, for grow/retained-bytes accounting (may be nil)
@@ -58,6 +59,9 @@ func (a *Arena) Floats(n int) []float64 {
 	}
 	s := a.buf[a.off : a.off+n : a.off+n]
 	a.off += n
+	if a.off > a.peak {
+		a.peak = a.off
+	}
 	return s
 }
 
@@ -131,6 +135,16 @@ func (a *Arena) Reset() {
 		return
 	}
 	a.off, a.nfab = 0, 0
+}
+
+// PeakBytes reports the most storage the arena has had handed out at one
+// time since it was created: the working set of the schedules that used
+// it, which the doubling backing store (BytesRetained) only bounds.
+func (a *Arena) PeakBytes() int64 {
+	if a == nil {
+		return 0
+	}
+	return int64(a.peak) * 8
 }
 
 // BytesRetained reports the backing storage the arena keeps for reuse.

@@ -140,9 +140,9 @@ func stepTile(ar *scratch.Arena, src *fab.FAB, tile, clip box.Box, k int, dt flo
 		for c := 0; c < kernel.NComp; c++ {
 			acc.FillRegion(reg, c, 0)
 		}
-		// One flux-divergence application, compiled form of the series
-		// schedule — bit-identical to kernel.Reference.
-		if err := generated.RunSeries(state, acc, reg, 1); err != nil {
+		// One flux-divergence application, compiled form of the
+		// shifted-and-fused schedule — bit-identical to kernel.Reference.
+		if err := generated.RunShiftFuse(state, acc, reg, 1); err != nil {
 			return nil, err
 		}
 		state.Plus(acc, reg, -dt)
@@ -158,10 +158,22 @@ func tilesOf(valid box.Box, edge int) []box.Box {
 	return valid.Tiles(edge)
 }
 
-// forTiles runs fn over every tile with a checked-out arena, in
-// parallel across cfg.Threads workers, and collects the first error.
+// forTiles runs fn over every tile with a checked-out arena and returns
+// the first error: in parallel across cfg.Threads workers, or directly on
+// the caller when the sweep is serial.
 func forTiles(valid box.Box, cfg Config, fn func(ar *scratch.Arena, tile box.Box) error) error {
 	tiles := tilesOf(valid, cfg.TileEdge)
+	if cfg.Threads <= 1 {
+		ar := scratch.Default.Checkout()
+		defer scratch.Default.Checkin(ar)
+		for _, tile := range tiles {
+			ar.Reset()
+			if err := fn(ar, tile); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	errs := make([]error, len(tiles))
 	parallel.For(cfg.Threads, len(tiles), func(tid, i int) {
 		ar := scratch.Default.Checkout()

@@ -61,12 +61,17 @@ func (f field) addr(p ivect.IntVect, c int) uint64 {
 	return f.base + uint64(off)*8
 }
 
-// state is the simulated address space of one box's exemplar data.
+// state is the simulated address space of one box's exemplar data: phi0 is
+// the field the stencils read, phi1 the field the cell updates write.
 type state struct {
 	valid box.Box
 	phi0  field
 	phi1  field
-	next  uint64
+	// base, when set, is a third field every cell update reads: the
+	// sweep's input state, which the last sub-step of a temporal sweep
+	// subtracts in its delta write-back.
+	base *field
+	next uint64
 }
 
 func newTraceState(n int) *state {
@@ -89,16 +94,10 @@ func (s *state) alloc(b box.Box, ncomp int) field {
 // readFaceAvg emits the four phi0 reads of one fourth-order face average at
 // face p (between cells p-e_d and p) for component c.
 func (s *state) readFaceAvg(sink Sink, p ivect.IntVect, dir, c int) {
-	readFaceAvgFrom(sink, s.phi0, p, dir, c)
-}
-
-// readFaceAvgFrom is readFaceAvg against an arbitrary source field (the
-// temporal generator reads from the per-tile stepped state, not phi0).
-func readFaceAvgFrom(sink Sink, src field, p ivect.IntVect, dir, c int) {
-	sink.Read(src.addr(p.Shift(dir, -1), c))
-	sink.Read(src.addr(p, c))
-	sink.Read(src.addr(p.Shift(dir, -2), c))
-	sink.Read(src.addr(p.Shift(dir, 1), c))
+	sink.Read(s.phi0.addr(p.Shift(dir, -1), c))
+	sink.Read(s.phi0.addr(p, c))
+	sink.Read(s.phi0.addr(p.Shift(dir, -2), c))
+	sink.Read(s.phi0.addr(p.Shift(dir, 1), c))
 }
 
 // Generate emits the access stream of variant v applied once to an N^3 box.
@@ -149,13 +148,6 @@ func Generate(v sched.Variant, n int, sink Sink) error {
 // space so that per-tile temporaries overlap in memory like the real
 // per-thread scratch does.
 func seriesTrace(s *state, region box.Box, sink Sink, fresh bool) {
-	seriesTraceInto(s, region, s.phi0, s.phi1, sink, fresh)
-}
-
-// seriesTraceInto is seriesTrace with explicit source and destination
-// fields: the temporal sub-steps run the same series schedule but read
-// the tile's stepped state and accumulate into a scratch field.
-func seriesTraceInto(s *state, region box.Box, src, dst field, sink Sink, fresh bool) {
 	mark := s.next
 	for dir := 0; dir < 3; dir++ {
 		faces := region.SurroundingFaces(dir)
@@ -164,7 +156,7 @@ func seriesTraceInto(s *state, region box.Box, src, dst field, sink Sink, fresh 
 		for c := 0; c < kernel.NComp; c++ {
 			c := c
 			faces.ForEach(func(p ivect.IntVect) {
-				readFaceAvgFrom(sink, src, p, dir, c)
+				s.readFaceAvg(sink, p, dir, c)
 				sink.Write(flux.addr(p, c))
 			})
 		}
@@ -182,8 +174,8 @@ func seriesTraceInto(s *state, region box.Box, src, dst field, sink Sink, fresh 
 			region.ForEach(func(p ivect.IntVect) {
 				sink.Read(flux.addr(p.Shift(dir, 1), c))
 				sink.Read(flux.addr(p, c))
-				sink.Read(dst.addr(p, c))
-				sink.Write(dst.addr(p, c))
+				sink.Read(s.phi1.addr(p, c))
+				sink.Write(s.phi1.addr(p, c))
 			})
 		}
 		if !fresh {
@@ -265,7 +257,10 @@ func fusedTileTrace(s *state, region, tile box.Box, vel [3]field, ca caches, sin
 					}
 					sink.Write(ca.fy.addr(ivect.New(x, ca.fy.lo[1], ca.fy.lo[2]), 0))
 					sink.Write(ca.fz.addr(ivect.New(x, y, ca.fz.lo[2]), 0))
-					// Accumulate.
+					// Cell update.
+					if s.base != nil {
+						sink.Read(s.base.addr(p, c))
+					}
 					sink.Read(s.phi1.addr(p, c))
 					sink.Write(s.phi1.addr(p, c))
 				}
@@ -299,11 +294,15 @@ func SeriesAccessCount(n int) (reads, writes uint64) {
 }
 
 // GenerateTemporal emits the access stream of one K-step temporal sweep
-// (internal/temporal.Apply) over an N^3 box with tile edge tileEdge
-// (<= 0: the whole box as one tile), in the engine's serial traversal
-// order. Per tile: copy the K-deep ghosted state in, run K series
-// sub-steps on shrinking regions against arena-reused temporaries, and
-// write the stepped delta back to phi1. Feeding the stream through
+// (the generated Temporal K* runners, codegen.TemporalProg) over an N^3
+// box with tile edge tileEdge (<= 0: the whole box as one tile), in serial
+// traversal order. Per tile, sub-step j is a shifted-and-fused sweep —
+// velocity pre-passes, then the fused sweep with its carried caches — over
+// the tile grown by (K-1-j)*NGhost: the first reads phi0 in place, the
+// intermediate states ping-pong between two tile-local buffers, the last
+// reads phi0 again and writes the delta to phi1. (An intermediate
+// sub-step's write-back is modeled like the accumulation, as a
+// read-modify-write of its destination.) Feeding the stream through
 // internal/cachesim predicts DRAM traffic as a function of (tile, K) —
 // the execution-driven check on perfmodel.TemporalTrafficBytes.
 func GenerateTemporal(n, tileEdge, k int, sink Sink) error {
@@ -317,55 +316,38 @@ func GenerateTemporal(n, tileEdge, k int, sink Sink) error {
 	valid := box.Cube(n)
 	s := &state{valid: valid}
 	var cur uint64 = 1 << 30
-	s.phi0, cur = newField(cur, valid.Grow(k*ng), kernel.NComp)
-	s.phi1, cur = newField(cur, valid, kernel.NComp)
+	phi0, cur := newField(cur, valid.Grow(k*ng), kernel.NComp)
+	phi1, cur := newField(cur, valid, kernel.NComp)
 	s.next = cur
 	tiles := []box.Box{valid}
 	if tileEdge > 0 {
 		tiles = valid.Tiles(tileEdge)
 	}
+	reach := (k - 1) * ng
 	mark := s.next
 	for _, tile := range tiles {
-		// Tiles reuse the same scratch addresses, like the per-thread
-		// arenas of the real engine.
+		// Tiles reuse the same scratch addresses, like the per-tile
+		// arena rewind of the generated runners.
 		s.next = mark
-		stateBox := tile.Grow(k * ng)
-		st := s.alloc(stateBox, kernel.NComp)
-		for c := 0; c < kernel.NComp; c++ {
-			c := c
-			stateBox.ForEach(func(p ivect.IntVect) {
-				sink.Read(s.phi0.addr(p, c))
-				sink.Write(st.addr(p, c))
-			})
+		var pingpong [2]field
+		for i := 0; i < 2 && i < k-1; i++ {
+			pingpong[i] = s.alloc(tile.Grow(reach-i*ng), kernel.NComp)
 		}
-		acc := s.alloc(tile.Grow((k-1)*ng), kernel.NComp)
+		temps := s.next
+		s.phi0 = phi0
 		for j := 0; j < k; j++ {
-			reg := tile.Grow((k - 1 - j) * ng)
-			for c := 0; c < kernel.NComp; c++ {
-				c := c
-				reg.ForEach(func(p ivect.IntVect) { sink.Write(acc.addr(p, c)) })
+			if j == k-1 {
+				s.phi1, s.base = phi1, &phi0
+			} else {
+				s.phi1 = pingpong[j%2]
 			}
-			seriesTraceInto(s, reg, st, acc, sink, false)
-			// state += -dt * acc over the sub-step region.
-			for c := 0; c < kernel.NComp; c++ {
-				c := c
-				reg.ForEach(func(p ivect.IntVect) {
-					sink.Read(acc.addr(p, c))
-					sink.Read(st.addr(p, c))
-					sink.Write(st.addr(p, c))
-				})
-			}
+			// Every sub-step reuses the velocity fields and the caches.
+			s.next = temps
+			reg := tile.Grow(reach - j*ng)
+			fusedSweepTrace(s, reg, velocityTrace(s, reg, sink), sink)
+			s.phi0 = s.phi1
 		}
-		// phi1 += state - phi0 over the tile interior.
-		for c := 0; c < kernel.NComp; c++ {
-			c := c
-			tile.ForEach(func(p ivect.IntVect) {
-				sink.Read(st.addr(p, c))
-				sink.Read(s.phi0.addr(p, c))
-				sink.Read(s.phi1.addr(p, c))
-				sink.Write(s.phi1.addr(p, c))
-			})
-		}
+		s.base = nil
 	}
 	return nil
 }

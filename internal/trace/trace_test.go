@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stencilsched/internal/cachesim"
+	"stencilsched/internal/kernel"
 	"stencilsched/internal/machine"
 	"stencilsched/internal/sched"
 )
@@ -156,24 +157,25 @@ func TestGenerateTemporalRejectsBadInput(t *testing.T) {
 }
 
 func TestTemporalAccessCountsScaleWithK(t *testing.T) {
-	// Each extra sub-step adds a full series pass over a grown region, so
-	// accesses grow superlinearly in K; K=1 whole-box is a series sweep
-	// plus the state copy-in and the delta write-back.
-	var series, k1 Counter
-	if err := Generate(sched.Variant{Family: sched.Series}, 12, &series); err != nil {
+	// K=1 whole-box is the shifted-and-fused sweep whose write-back also
+	// reads the cell's phi0 (the delta form); each extra sub-step adds a
+	// fused sweep over a grown region, so accesses grow superlinearly in K.
+	const n = 12
+	var fused, k1 Counter
+	if err := Generate(sched.Variant{Family: sched.ShiftFuse}, n, &fused); err != nil {
 		t.Fatal(err)
 	}
-	if err := GenerateTemporal(12, 0, 1, &k1); err != nil {
+	if err := GenerateTemporal(n, 0, 1, &k1); err != nil {
 		t.Fatal(err)
 	}
-	if k1.Reads <= series.Reads || k1.Writes <= series.Writes {
-		t.Errorf("temporal K=1 accesses %d/%d not above plain series %d/%d",
-			k1.Reads, k1.Writes, series.Reads, series.Writes)
+	if want := fused.Reads + kernel.NComp*n*n*n; k1.Reads != want || k1.Writes != fused.Writes {
+		t.Errorf("temporal K=1 accesses %d/%d, want the fused sweep's plus one read per cell update %d/%d",
+			k1.Reads, k1.Writes, want, fused.Writes)
 	}
 	prev := k1
 	for _, k := range []int{2, 4} {
 		var c Counter
-		if err := GenerateTemporal(12, 0, k, &c); err != nil {
+		if err := GenerateTemporal(n, 0, k, &c); err != nil {
 			t.Fatal(err)
 		}
 		if c.Reads <= prev.Reads || c.Writes <= prev.Writes {

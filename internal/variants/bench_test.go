@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"stencilsched/internal/box"
+	"stencilsched/internal/fab"
+	"stencilsched/internal/kernel"
 	"stencilsched/internal/sched"
+	"stencilsched/internal/temporal"
+	"stencilsched/internal/variants/generated"
 )
 
 // BenchmarkFused48 is the layer number behind the benchmark's
@@ -33,6 +37,46 @@ func BenchmarkFused48(b *testing.B) {
 				Exec(v, phi0, phi1, valid, 1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n*n), "ns/cell")
+		})
+	}
+}
+
+// BenchmarkTemporal48 is BenchmarkFused48 for the compiled schedules: the
+// generated temporal grid (K Euler steps per sweep), the tiled engine, and
+// the two spatial runners the temporal sub-step is built from, on one
+// 48^3 box and one thread, in ns per cell per Euler step.
+func BenchmarkTemporal48(b *testing.B) {
+	const n = 48
+	valid := box.Cube(n)
+	type runner struct {
+		name string
+		k    int
+		run  func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error
+	}
+	var rs []runner
+	for _, e := range generated.Entries() {
+		if e.TemporalK > 0 || e.Name == "CodeGen series (generated)" || e.Name == "Shift-Fuse (generated)" {
+			rs = append(rs, runner{e.Name, max(e.TemporalK, 1), e.Run})
+		}
+	}
+	rs = append(rs, runner{"Temporal K2 T32 (engine)", 2, func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
+		return temporal.Apply(phi0, phi1, valid, temporal.Config{K: 2, TileEdge: 32, Threads: threads})
+	}})
+	for _, r := range rs {
+		phi0 := fab.New(valid.Grow(r.k*kernel.NGhost), kernel.NComp)
+		kernel.InitSmooth(phi0, n)
+		phi1 := fab.New(valid, kernel.NComp)
+		b.Run(r.name, func(b *testing.B) {
+			if err := r.run(phi0, phi1, valid, 1); err != nil { // warm the arena
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := r.run(phi0, phi1, valid, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.k)/(n*n*n), "ns/cell/step")
 		})
 	}
 }

@@ -122,7 +122,7 @@ func (f *fusedSweep) cacheBytes() int64 {
 // lexicographic order for the components in flight. Everything that does
 // not vary along x — offsets, velocity and cache rows, whether the row sits
 // on a low face of org — is resolved once per row; the cells are
-// fusedRow's. With several components in flight (CLI) the component loop
+// kernel.FusedRow's. With several components in flight (CLI) the component loop
 // sits here, between the y and the x loop.
 func (f *fusedSweep) run(tile box.Box) {
 	s := f.s
@@ -144,16 +144,16 @@ func (f *fusedSweep) run(tile box.Box) {
 				fy := f.fy[ci*f.fyC+zi*f.fyZ+xi:][:n]
 				fz := f.fz[ci*f.fzC+yi*f.fzY+xi:][:n]
 				if yi == 0 {
-					seedRow(fy, vy, ph, o0, sy)
+					kernel.SeedRow(fy, vy, ph, o0, sy)
 				}
 				if zi == 0 {
-					seedRow(fz, vz, ph, o0, sz)
+					kernel.SeedRow(fz, vz, ph, o0, sz)
 				}
 				fx := &f.fx[ci*f.fxC+zi*f.fxZ+yi*f.fxY]
 				if xi == 0 {
 					*fx = kernel.Flux2(vx[0], kernel.FaceAvg(ph, o0, 1))
 				}
-				*fx = fusedRow(s.comps1[c][o1:o1+n], ph, o0, sy, sz,
+				*fx = kernel.FusedRow(s.comps1[c][o1:o1+n], ph, o0, sy, sz,
 					vx[1:], vy[f.vy.sy:], vz[f.vz.sz:], fy, fz, *fx)
 			}
 		}
@@ -168,39 +168,4 @@ func (f *fusedSweep) runAllComps(tile box.Box) {
 		f.cLo, f.cHi = c, c+nc
 		f.run(tile)
 	}
-}
-
-// seedRow recomputes a row of low-face fluxes in the direction whose phi0
-// stride is sd: out[i] is the flux at the low face of the cell at offset
-// o0+i, vel the velocities at those faces.
-func seedRow(out, vel, ph []float64, o0, sd int) {
-	vel = vel[:len(out)]
-	for i := range out {
-		out[i] = kernel.Flux2(vel[i], kernel.FaceAvg(ph, o0+i, sd))
-	}
-}
-
-// fusedRow is the row kernel of the fused family: it updates the
-// len(dst) consecutive cells in x whose first phi0 offset is o0. vx, vy
-// and vz are the velocities at each cell's high faces; fy and fz hold
-// each cell's low-face flux in y and z on entry and its high-face flux on
-// return; fxlo is the flux at the row's low x face and the result is the
-// flux at its high x face. Per cell the expressions and the x, y, z
-// accumulation order are kernel.Reference's, so the bits are too.
-func fusedRow(dst, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
-	n := len(dst)
-	vx, vy, vz, fy, fz = vx[:n], vy[:n], vz[:n], fy[:n], fz[:n]
-	for i := range dst {
-		o := o0 + i
-		fxhi := kernel.Flux2(vx[i], kernel.FaceAvg(ph, o+1, 1))
-		fyhi := kernel.Flux2(vy[i], kernel.FaceAvg(ph, o+sy, sy))
-		fzhi := kernel.Flux2(vz[i], kernel.FaceAvg(ph, o+sz, sz))
-		v := dst[i]
-		v += fxhi - fxlo
-		v += fyhi - fy[i]
-		v += fzhi - fz[i]
-		dst[i] = v
-		fxlo, fy[i], fz[i] = fxhi, fyhi, fzhi
-	}
-	return fxlo
 }
