@@ -229,141 +229,58 @@ func Conformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport
 	return conform.Sweep(ctx, cfg)
 }
 
-// CompiledSchedule is one What/When/Where schedule description compiled
-// to specialized Go by the internal/schedc pipeline and committed under
-// internal/variants/generated. Compiled schedules execute serially
-// within a box (the study's P>=Box granularity); parallelism is across
-// boxes. They pass the same conformance sweep as the studied variants.
-type CompiledSchedule struct {
-	Name string
-	// TemporalK > 0 marks a temporal-blocking schedule fusing that many
-	// Euler steps per sweep: its input state must carry TemporalK*NGhost
-	// ghost layers and its output is the K-step delta, so one sweep does
-	// TemporalK cell-updates per cell. Zero means a classic single-step
-	// schedule.
-	TemporalK int
-	// Spectral marks the FFT fast-path backends: one O(N log N) pass
-	// answers TemporalK Euler steps, but only on fully periodic boxes
-	// with spatially constant advection velocities, and results match
-	// the step-by-step schedules to spectral tolerance rather than
-	// bitwise. Autotuning them uses frozen-velocity initial data.
-	Spectral bool
-	run      func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error
-}
+// Schedule is one executable schedule of the exemplar operator — the
+// conformance-registry runner (internal/conform), which is the one handle
+// measurement, autotuning and the service resolve names to. A studied
+// variant carries its Variant; the schedc-compiled runners (Generated)
+// and the FFT backends (Spectral) run one box serially. TemporalK > 0
+// marks a schedule that advances that many Euler steps per sweep: its
+// input carries TemporalK*NGhost ghost layers and its output is the
+// K-step delta. Spectral schedules need fully periodic boxes with
+// spatially constant velocities and match the step-by-step schedules to
+// spectral tolerance rather than bitwise.
+type Schedule = conform.Runner
 
-// Steps returns the number of Euler steps one sweep of the schedule
-// advances: TemporalK for temporal schedules, 1 otherwise.
-func (cs CompiledSchedule) Steps() int {
-	if cs.TemporalK > 0 {
-		return cs.TemporalK
-	}
-	return 1
-}
-
-// CompiledSchedules returns the schedc-compiled and spectral runners
-// registered in the conformance registry, in registration order. The
-// set spans the joint (tile, K, backend) schedule space: classic
-// single-step schedules, the temporal families over K in {1,2,4} and
-// tile edges {box,16,32}, and the FFT spectral backends over K in
-// {1,2,4,8,16}.
-func CompiledSchedules() []CompiledSchedule {
-	var out []CompiledSchedule
+// Schedules returns every schedule the conformance sweep checks, except
+// the instance-at-a-time interpreted ones, in registration order: the 32
+// studied variants, the schedc-compiled runners (single-step, and the
+// temporal families over K in {1,2,4} and tile edges {box,16,32}), and
+// the FFT spectral backends over K in {1,2,4,8,16}.
+func Schedules() []Schedule {
+	var out []Schedule
 	for _, r := range conform.Registry() {
-		if r.Generated || r.Spectral {
-			out = append(out, CompiledSchedule{Name: r.Name, TemporalK: r.TemporalK, Spectral: r.Spectral, run: r.Run})
+		if !r.Interpreted {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// CompiledScheduleByName resolves a compiled schedule by its exact
-// registry name, e.g. "CodeGen series (generated)".
-func CompiledScheduleByName(name string) (CompiledSchedule, error) {
-	for _, cs := range CompiledSchedules() {
-		if cs.Name == name {
-			return cs, nil
-		}
+// ScheduleByName resolves a schedule by paper-legend variant name (as
+// ParseVariant accepts it, so "≥", legend aliases and the extended
+// rectangular-tile points resolve) or by exact registry name, e.g.
+// "CodeGen series (generated)".
+func ScheduleByName(name string) (Schedule, error) {
+	v, err := sched.Parse(name)
+	if err == nil {
+		return conform.VariantRunner(v), nil
 	}
-	return CompiledSchedule{}, fmt.Errorf("stencilsched: no compiled schedule %q", name)
+	if r, ok := conform.RunnerByName(name); ok && !r.Interpreted {
+		return r, nil
+	}
+	return Schedule{}, fmt.Errorf("stencilsched: no schedule %q: not a registry name, and as a variant name: %w", name, err)
 }
 
-// TuneResult is one autotuning measurement.
+// TuneResult is one autotuning measurement. Temporal and spectral
+// schedules advance Schedule.Steps() Euler steps per sweep, so
+// comparisons across K go through StepSeconds and MCellsPerSec, which
+// are per-Euler-step quantities.
 type TuneResult struct {
-	Variant      Variant
-	Seconds      float64
-	MCellsPerSec float64
-}
-
-// Autotune measures candidate variants on the host for problem p (reps
-// repetitions each, minimum kept) and returns them fastest first — the
-// measured counterpart of the model-driven selection in examples/tuning,
-// and the "automate the selection and tuning" direction of the paper's
-// conclusion. A nil candidates slice tunes over every studied variant
-// whose tiles fit the box.
-func Autotune(p Problem, reps int, candidates []Variant) ([]TuneResult, error) {
-	return AutotuneContext(context.Background(), p, reps, candidates)
-}
-
-// AutotuneContext is Autotune with cancellation: ctx is checked before
-// every candidate and between repetitions inside each measurement, so a
-// long tuning sweep aborts promptly on cancel or deadline (partial
-// results are discarded and ctx.Err() is returned).
-func AutotuneContext(ctx context.Context, p Problem, reps int, candidates []Variant) ([]TuneResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if candidates == nil {
-		for _, v := range sched.Studied() {
-			if v.Tiled() && v.MaxTileEdge() > p.BoxN {
-				continue
-			}
-			candidates = append(candidates, v)
-		}
-	} else {
-		// Explicit candidates go through the same feasibility screen the
-		// nil-candidates path applies implicitly: an infeasible tile shape
-		// is a bad request, not something to silently measure (the tiling
-		// layer would clamp the tile to the box and measure a different
-		// schedule than the one asked for).
-		for _, v := range candidates {
-			if err := v.Validate(); err != nil {
-				return nil, fmt.Errorf("stencilsched: autotune candidate: %w", err)
-			}
-			if v.Tiled() && v.MaxTileEdge() > p.BoxN {
-				return nil, fmt.Errorf("stencilsched: autotune candidate %s: tile edge %d exceeds box size %d",
-					v.Name(), v.MaxTileEdge(), p.BoxN)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("stencilsched: no feasible candidates for %+v", p)
-	}
-	out := make([]TuneResult, 0, len(candidates))
-	for _, v := range candidates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := RunMeasuredContext(ctx, v, p, reps)
-		if err != nil {
-			return nil, fmt.Errorf("stencilsched: autotune %s: %w", v.Name(), err)
-		}
-		out = append(out, TuneResult{Variant: v, Seconds: res.Seconds, MCellsPerSec: res.MCellsPerSec})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
-	return out, nil
-}
-
-// CompiledTuneResult is one compiled-schedule autotuning measurement.
-// Temporal schedules advance Schedule.Steps() Euler steps per sweep, so
-// throughput comparisons across K go through StepSeconds and
-// MCellsPerSec (cell-updates), which are per-Euler-step quantities.
-type CompiledTuneResult struct {
-	Schedule CompiledSchedule
-	// Seconds is the minimum wall time of one sweep (K steps for a
-	// temporal schedule).
+	Schedule Schedule
+	// Seconds is the minimum wall time of one sweep over all boxes (K
+	// steps for a temporal schedule).
 	Seconds float64
-	// StepSeconds is Seconds normalized per Euler step:
-	// Seconds / Schedule.Steps(). Results sort by it.
+	// StepSeconds is Seconds / Schedule.Steps(). Results sort by it.
 	StepSeconds float64
 	// MCellsPerSec counts cell-updates (cells * steps advanced), so a
 	// K=2 sweep that halves traffic shows up as higher throughput, not a
@@ -371,28 +288,66 @@ type CompiledTuneResult struct {
 	MCellsPerSec float64
 }
 
-// AutotuneCompiled measures schedc-compiled schedules on the host for
-// problem p, the compiled counterpart of Autotune: reps repetitions
-// each, minimum kept, fastest first (per Euler step — see
-// CompiledTuneResult). A nil candidates slice tunes over every compiled
-// schedule, which makes the default sweep a joint search of the
-// (tile, K) schedule space. Compiled runners are serial within a box,
-// so Threads parallelizes across the NumBoxes boxes.
-func AutotuneCompiled(p Problem, reps int, candidates []CompiledSchedule) ([]CompiledTuneResult, error) {
-	return AutotuneCompiledContext(context.Background(), p, reps, candidates)
+// TuneCandidates resolves the candidate set of an autotune over problem
+// p, so that a service can put it in a cache key and reject a bad
+// request before queueing work. One rule covers every schedule: a tile
+// edge larger than the box is an error when the schedule is named (the
+// executors would clamp the tile and measure a different schedule than
+// the one asked for) and skipped from the default set, which empty names
+// select — every schedule whose tiles fit, a joint search of the
+// (family, tile, K, backend) space.
+func TuneCandidates(p Problem, names []string) ([]Schedule, error) {
+	if len(names) == 0 {
+		return defaultCandidates(p), nil
+	}
+	out := make([]Schedule, len(names))
+	for i, name := range names {
+		s, err := ScheduleByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if err := tileFits(s, p); err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
 }
 
-// AutotuneCompiledContext is AutotuneCompiled with cancellation,
-// checked before every candidate and between repetitions.
+func defaultCandidates(p Problem) []Schedule {
+	var out []Schedule
+	for _, s := range Schedules() {
+		if tileFits(s, p) == nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func tileFits(s Schedule, p Problem) error {
+	if s.TileEdge > p.BoxN {
+		return fmt.Errorf("stencilsched: autotune candidate %s infeasible: tile edge %d exceeds box size %d",
+			s.Name, s.TileEdge, p.BoxN)
+	}
+	return nil
+}
+
+// Autotune measures candidate schedules on the host for problem p (reps
+// repetitions each, minimum kept) and returns them fastest per Euler
+// step first — the measured counterpart of the model-driven selection in
+// examples/tuning, and the "automate the selection and tuning" direction
+// of the paper's conclusion. Nil candidates select the default set of
+// TuneCandidates; explicit ones pass the same tile rule. ctx is checked
+// before every candidate and between repetitions; on cancellation the
+// partial results are discarded and ctx.Err() is returned.
 //
-// Every candidate runs against state sized for its own contract: a
-// temporal schedule fusing K steps reads TemporalK*NGhost ghost layers,
-// so each distinct ghost depth gets its own smooth-initialized level
-// (allocated once, shared by all candidates of that depth). Phi1 is
-// zeroed before every repetition — the runners accumulate, and carrying
-// one repetition's output into the next would both corrupt the result
-// and perturb the timing.
-func AutotuneCompiledContext(ctx context.Context, p Problem, reps int, candidates []CompiledSchedule) ([]CompiledTuneResult, error) {
+// Boxes run one after another with all Threads inside when the schedule
+// is a P<Box variant, and one box per thread otherwise. Every candidate
+// reads state of its own ghost depth, allocated once per depth and
+// shared (spectral candidates get frozen-velocity data, without which
+// they refuse to run). Phi1 is zeroed before every repetition, untimed:
+// the schedules accumulate into it.
+func Autotune(ctx context.Context, p Problem, reps int, candidates []Schedule) ([]TuneResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -400,32 +355,32 @@ func AutotuneCompiledContext(ctx context.Context, p Problem, reps int, candidate
 		reps = 1
 	}
 	if candidates == nil {
-		candidates = CompiledSchedules()
+		candidates = defaultCandidates(p)
+	}
+	for _, s := range candidates {
+		if err := tileFits(s, p); err != nil {
+			return nil, err
+		}
 	}
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("stencilsched: no compiled candidates for %+v", p)
+		return nil, fmt.Errorf("stencilsched: no feasible candidates for %+v", p)
 	}
-	boxes := make([]box.Box, p.NumBoxes)
-	for i := range boxes {
-		boxes[i] = box.Cube(p.BoxN)
-	}
-	// Spectral candidates demand the frozen-velocity regime (the solve
-	// errors out otherwise), so levels are keyed by (depth, frozen) and
-	// initialized with InitSmoothFrozen when frozen.
 	type levelKey struct {
 		depth  int
 		frozen bool
 	}
 	levels := map[levelKey][]variants.State{}
-	statesFor := func(depth int, frozen bool) []variants.State {
-		key := levelKey{depth, frozen}
-		if s, ok := levels[key]; ok {
-			return s
+	statesFor := func(key levelKey) []variants.State {
+		if states, ok := levels[key]; ok {
+			return states
 		}
-		states := make([]variants.State, len(boxes))
-		for i, b := range boxes {
-			phi0 := fab.New(b.Grow(depth), kernel.NComp)
-			if frozen {
+		states := make([]variants.State, p.NumBoxes)
+		for i := range states {
+			// Separated boxes: each owns its own ghosted data, like
+			// distinct Chombo boxes on one rank.
+			b := box.Cube(p.BoxN)
+			phi0 := fab.New(b.Grow(key.depth), kernel.NComp)
+			if key.frozen {
 				kernel.InitSmoothFrozen(phi0, p.BoxN)
 			} else {
 				kernel.InitSmooth(phi0, p.BoxN)
@@ -435,21 +390,27 @@ func AutotuneCompiledContext(ctx context.Context, p Problem, reps int, candidate
 		levels[key] = states
 		return states
 	}
-	out := make([]CompiledTuneResult, 0, len(candidates))
-	errs := make([]error, len(boxes))
-	for _, cs := range candidates {
+	out := make([]TuneResult, 0, len(candidates))
+	errs := make([]error, p.NumBoxes)
+	for _, s := range candidates {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		states := statesFor(cs.Steps()*kernel.NGhost, cs.Spectral)
+		states := statesFor(levelKey{s.Steps() * kernel.NGhost, s.Spectral})
 		timing, err := stats.TimePrepContext(ctx, reps, func() {
-			for _, s := range states {
-				s.Phi1.Fill(0)
+			for _, st := range states {
+				st.Phi1.Fill(0)
 			}
 		}, func() {
-			parallel.For(p.Threads, len(states), func(_, i int) {
-				s := states[i]
-				errs[i] = cs.run(s.Phi0, s.Phi1, s.Valid, 1)
+			if s.Variant.Par == sched.WithinBox {
+				for i, st := range states {
+					errs[i] = s.Run(st.Phi0, st.Phi1, st.Valid, p.Threads)
+				}
+				return
+			}
+			parallel.Dynamic(p.Threads, len(states), 1, func(_, i int) {
+				st := states[i]
+				errs[i] = s.Run(st.Phi0, st.Phi1, st.Valid, 1)
 			})
 		})
 		if err != nil {
@@ -457,13 +418,12 @@ func AutotuneCompiledContext(ctx context.Context, p Problem, reps int, candidate
 		}
 		for _, e := range errs {
 			if e != nil {
-				return nil, fmt.Errorf("stencilsched: autotune %s: %w", cs.Name, e)
+				return nil, fmt.Errorf("stencilsched: autotune %s: %w", s.Name, e)
 			}
 		}
-		res := CompiledTuneResult{Schedule: cs, Seconds: timing.MinSec}
-		res.StepSeconds = timing.MinSec / float64(cs.Steps())
+		res := TuneResult{Schedule: s, Seconds: timing.MinSec, StepSeconds: timing.MinSec / float64(s.Steps())}
 		if timing.MinSec > 0 {
-			res.MCellsPerSec = float64(p.Cells()) * float64(cs.Steps()) / timing.MinSec / 1e6
+			res.MCellsPerSec = float64(p.Cells()) * float64(s.Steps()) / timing.MinSec / 1e6
 		}
 		out = append(out, res)
 	}

@@ -19,7 +19,7 @@ func TestProblemValidateThreads(t *testing.T) {
 		if _, err := RunMeasured(v, p, 1); err == nil {
 			t.Errorf("RunMeasured accepted Threads=%d", threads)
 		}
-		if _, err := Autotune(p, 1, nil); err == nil {
+		if _, err := Autotune(context.Background(), p, 1, nil); err == nil {
 			t.Errorf("Autotune accepted Threads=%d", threads)
 		}
 	}
@@ -44,7 +44,7 @@ func TestRunMeasuredContextCanceled(t *testing.T) {
 func TestAutotuneContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AutotuneContext(ctx, Problem{BoxN: 8, NumBoxes: 1, Threads: 1}, 1, nil)
+	_, err := Autotune(ctx, Problem{BoxN: 8, NumBoxes: 1, Threads: 1}, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

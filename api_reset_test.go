@@ -43,8 +43,8 @@ func TestMeasuredRepetitionsLeaveOneApplication(t *testing.T) {
 	}
 }
 
-// TestAutotuneCompiledResetsBetweenReps drives the compiled autotune
-// path with an instrumented temporal candidate: every repetition must
+// TestAutotuneCompiledResetsBetweenReps drives Autotune with an
+// instrumented temporal candidate: every repetition must
 // see phi1 zeroed (the accumulate contract) and phi0 covering the
 // K-step ghost halo. A missing per-repetition reset or an NGhost-deep
 // state for a TemporalK=2 candidate fails here.
@@ -52,10 +52,10 @@ func TestAutotuneCompiledResetsBetweenReps(t *testing.T) {
 	const reps = 3
 	p := Problem{BoxN: 8, NumBoxes: 2, Threads: 2}
 	var calls, dirty, shallow atomic.Int64
-	probe := CompiledSchedule{
+	probe := Schedule{
 		Name:      "probe K2",
 		TemporalK: 2,
-		run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
+		Run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
 			calls.Add(1)
 			if !phi0.Box().ContainsBox(valid.Grow(2 * kernel.NGhost)) {
 				shallow.Add(1)
@@ -77,7 +77,7 @@ func TestAutotuneCompiledResetsBetweenReps(t *testing.T) {
 			return nil
 		},
 	}
-	res, err := AutotuneCompiled(p, reps, []CompiledSchedule{probe})
+	res, err := Autotune(context.Background(), p, reps, []Schedule{probe})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package stencilsched
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+
+	"stencilsched/internal/conform"
 )
 
 func TestVariantsCountAndNames(t *testing.T) {
@@ -19,32 +22,88 @@ func TestVariantsCountAndNames(t *testing.T) {
 	}
 }
 
-func TestCompiledSchedules(t *testing.T) {
-	cs := CompiledSchedules()
-	if len(cs) < 4 {
-		t.Fatalf("%d compiled schedules, want at least the 4 schedc families", len(cs))
-	}
-	for _, c := range cs {
-		got, err := CompiledScheduleByName(c.Name)
-		if err != nil || got.Name != c.Name {
-			t.Errorf("round trip %q failed: %v", c.Name, err)
+// TestSchedules pins the one schedule handle: Schedules is the
+// conformance registry minus its interpreted rows, in order; every name,
+// legend aliases included, resolves through ScheduleByName; and one
+// Autotune call ranks a studied P<Box variant, a generated temporal
+// schedule and a spectral backend together by per-step time.
+func TestSchedules(t *testing.T) {
+	var want []string
+	for _, r := range conform.Registry() {
+		if !r.Interpreted {
+			want = append(want, r.Name)
 		}
 	}
-	if _, err := CompiledScheduleByName("nonesuch"); err == nil {
-		t.Error("CompiledScheduleByName accepted an unknown name")
+	all := Schedules()
+	if len(all) != len(want) {
+		t.Fatalf("%d schedules, want the %d non-interpreted registry rows", len(all), len(want))
 	}
-}
+	for i, s := range all {
+		if s.Name != want[i] {
+			t.Fatalf("schedule %d is %q, registry has %q there", i, s.Name, want[i])
+		}
+		got, err := ScheduleByName(s.Name)
+		if err != nil || got.Name != s.Name || got.TemporalK != s.TemporalK || got.TileEdge != s.TileEdge ||
+			got.Variant != s.Variant || got.Generated != s.Generated || got.Spectral != s.Spectral {
+			t.Errorf("round trip %q: got %+v, %v", s.Name, got, err)
+		}
+	}
+	for alias, canonical := range map[string]string{
+		"Baseline: P>=Box":            "Baseline-CLO: P>=Box",
+		"Baseline: P≥Box":             "Baseline-CLO: P>=Box",
+		"Shift-Fuse OT-32x8x8: P<Box": "Shift-Fuse OT-32x8x8: P<Box",
+	} {
+		if got, err := ScheduleByName(alias); err != nil || got.Name != canonical {
+			t.Errorf("ScheduleByName(%q) = %q, %v; want %q", alias, got.Name, err, canonical)
+		}
+	}
+	for _, bad := range []string{"nonesuch", "CodeGen series (interpreted)"} {
+		if _, err := ScheduleByName(bad); err == nil {
+			t.Errorf("ScheduleByName accepted %q", bad)
+		}
+	}
 
-func TestAutotuneCompiled(t *testing.T) {
-	p := Problem{BoxN: 8, NumBoxes: 2, Threads: 2}
-	res, err := AutotuneCompiled(p, 1, nil)
+	var mixed []Schedule
+	for _, name := range []string{"Shift-Fuse OT-4: P<Box", "Temporal K2 (generated)", "FFT (spectral) K4"} {
+		s, err := ScheduleByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed = append(mixed, s)
+	}
+	res, err := Autotune(context.Background(), Problem{BoxN: 8, NumBoxes: 2, Threads: 2}, 1, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(CompiledSchedules()) {
-		t.Fatalf("%d results, want %d", len(res), len(CompiledSchedules()))
+	if len(res) != len(mixed) {
+		t.Fatalf("%d results for %d candidates", len(res), len(mixed))
 	}
-	temporal := 0
+	steps := map[string]int{}
+	for i, r := range res {
+		steps[r.Schedule.Name] = r.Schedule.Steps()
+		if r.StepSeconds <= 0 || r.StepSeconds*float64(r.Schedule.Steps()) != r.Seconds {
+			t.Errorf("%s: StepSeconds %g * steps %d != Seconds %g", r.Schedule.Name, r.StepSeconds, r.Schedule.Steps(), r.Seconds)
+		}
+		if i > 0 && r.StepSeconds < res[i-1].StepSeconds {
+			t.Errorf("results not ranked by StepSeconds at %d: %+v", i, res)
+		}
+	}
+	if steps["Shift-Fuse OT-4: P<Box"] != 1 || steps["Temporal K2 (generated)"] != 2 || steps["FFT (spectral) K4"] != 4 {
+		t.Errorf("steps per sweep = %v", steps)
+	}
+}
+
+// TestAutotuneCompiled tunes over the default candidate set of an 8^3
+// box: every schedule whose tiles fit, so the generated OT-16/OT-32 rows
+// are skipped like the studied 16- and 32-tile variants, and the rest
+// come back ranked per Euler step.
+func TestAutotuneCompiled(t *testing.T) {
+	p := Problem{BoxN: 8, NumBoxes: 2, Threads: 2}
+	res, err := Autotune(context.Background(), p, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	studied, generated, spectral := 0, 0, 0
 	for i, r := range res {
 		if r.Seconds <= 0 || r.StepSeconds <= 0 || r.MCellsPerSec <= 0 {
 			t.Errorf("%s: non-positive measurement %+v", r.Schedule.Name, r)
@@ -56,12 +115,24 @@ func TestAutotuneCompiled(t *testing.T) {
 		if i > 0 && r.StepSeconds < res[i-1].StepSeconds {
 			t.Errorf("results not sorted fastest-per-step first at %d", i)
 		}
-		if r.Schedule.TemporalK > 0 {
-			temporal++
+		if r.Schedule.TileEdge > p.BoxN {
+			t.Errorf("%s measured on a box smaller than its %d tile", r.Schedule.Name, r.Schedule.TileEdge)
+		}
+		switch {
+		case r.Schedule.Generated:
+			generated++
+		case r.Schedule.Spectral:
+			spectral++
+		default:
+			studied++
 		}
 	}
-	if temporal < 9 {
-		t.Errorf("default candidate set covers %d temporal (tile, K) points, want >= 9", temporal)
+	// 13 generated rows minus Basic-Sched OT-16 and the six temporal
+	// OT-16/OT-32 points; 32 studied variants minus the twelve with 16-
+	// or 32-cell tiles; all five spectral backends.
+	if studied != 20 || generated != 6 || spectral != 5 {
+		t.Errorf("default set at BoxN=8 measured %d studied, %d generated, %d spectral; want 20, 6, 5",
+			studied, generated, spectral)
 	}
 }
 

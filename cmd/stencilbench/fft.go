@@ -56,17 +56,9 @@ type fftRecord struct {
 // the best K4 temporal schedule, through the same compiled autotuner
 // the API exposes, and emits the crossover BENCH record.
 func runFFT(o options) error {
-	p := stencilsched.Problem{BoxN: o.n, NumBoxes: o.boxes, Threads: o.threads}
-	var cands []stencilsched.CompiledSchedule
-	for _, cs := range stencilsched.CompiledSchedules() {
-		if cs.Spectral || cs.TemporalK == 4 {
-			cands = append(cands, cs)
-		}
-	}
-	if len(cands) == 0 {
-		return fmt.Errorf("no spectral or K4 temporal schedules in the compiled registry")
-	}
-	results, err := stencilsched.AutotuneCompiled(p, o.reps, cands)
+	results, err := tuneWhere(o, func(s stencilsched.Schedule) bool {
+		return s.Spectral || (s.Generated && s.TemporalK == 4)
+	})
 	if err != nil {
 		return err
 	}

@@ -280,8 +280,8 @@ func TestRunTemporalJSONRecord(t *testing.T) {
 // TestRunFFTJSONRecord smoke-tests the spectral crossover mode on a
 // tiny box: the record must span the spectral K ladder, carry a K4
 // temporal baseline, and model predictions on every point. (On an 8^3
-// box the measured crossover may land anywhere; the committed
-// BENCH_fft_* records at N in {64, 96} are where the verdict matters.)
+// box the measured crossover may land anywhere; N in {64, 96} is where
+// the verdict matters, see EXPERIMENTS.md.)
 func TestRunFFTJSONRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fft.json")
 	o := testOpts()

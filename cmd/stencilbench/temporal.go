@@ -1,10 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
 	"stencilsched"
 	"stencilsched/internal/perfmodel"
@@ -61,18 +61,25 @@ type temporalRecord struct {
 	TrafficDeepAdvantage float64 `json:"traffic_deep_advantage"`
 }
 
-// tileOfSchedule recovers the spatial tile edge from a compiled
-// temporal schedule's registry name ("Temporal K2 OT-16 (generated)" is
-// tiled at 16; no OT suffix means the whole box).
-func tileOfSchedule(name string) int {
-	switch {
-	case strings.Contains(name, "OT-16"):
-		return 16
-	case strings.Contains(name, "OT-32"):
-		return 32
-	default:
-		return 0
+// tuneWhere autotunes the subset keep selects of the default candidate
+// set (every schedule whose tiles fit the -n box) on the problem the
+// options describe.
+func tuneWhere(o options, keep func(stencilsched.Schedule) bool) ([]stencilsched.TuneResult, error) {
+	p := stencilsched.Problem{BoxN: o.n, NumBoxes: o.boxes, Threads: o.threads}
+	all, err := stencilsched.TuneCandidates(p, nil)
+	if err != nil {
+		return nil, err
 	}
+	var cands []stencilsched.Schedule
+	for _, s := range all {
+		if keep(s) {
+			cands = append(cands, s)
+		}
+	}
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("-mode %s: no schedule to measure on a %d^3 box", o.mode, o.n)
+	}
+	return stencilsched.Autotune(context.Background(), p, o.reps, cands)
 }
 
 // runTemporal measures the compiled temporal schedule family — the
@@ -80,19 +87,11 @@ func tileOfSchedule(name string) int {
 // autotuner the API exposes, prints the per-step ranking, and emits
 // the temporal BENCH record.
 func runTemporal(o options) error {
-	p := stencilsched.Problem{BoxN: o.n, NumBoxes: o.boxes, Threads: o.threads}
-	var cands []stencilsched.CompiledSchedule
-	for _, cs := range stencilsched.CompiledSchedules() {
-		// The spectral backends carry a K too, but answer a different
-		// (frozen-velocity) problem and have their own sweep, -mode fft.
-		if cs.TemporalK > 0 && !cs.Spectral {
-			cands = append(cands, cs)
-		}
-	}
-	if len(cands) == 0 {
-		return fmt.Errorf("no temporal schedules in the compiled registry")
-	}
-	results, err := stencilsched.AutotuneCompiled(p, o.reps, cands)
+	// The spectral backends carry a K too, but answer a different
+	// (frozen-velocity) problem and have their own sweep, -mode fft.
+	results, err := tuneWhere(o, func(s stencilsched.Schedule) bool {
+		return s.Generated && s.TemporalK > 0
+	})
 	if err != nil {
 		return err
 	}
@@ -110,11 +109,11 @@ func runTemporal(o options) error {
 			o.boxes, o.n, o.threads, o.reps),
 		Header: []string{"schedule", "K", "sweep (s)", "s/step", "Mcells/s", "model B/cell/step"},
 	}
-	var bestK1, best *stencilsched.CompiledTuneResult
+	var bestK1, best *stencilsched.TuneResult
 	var bestTraffic, bestTrafficK1 *temporalPoint
 	for i := range results {
 		r := &results[i]
-		tile := tileOfSchedule(r.Schedule.Name)
+		tile := r.Schedule.TileEdge // 0: whole box
 		tr := perfmodel.TemporalTrafficBytes(o.n, tile, r.Schedule.Steps(), m, o.threads)
 		rec.Points = append(rec.Points, temporalPoint{
 			Schedule:              r.Schedule.Name,

@@ -559,48 +559,15 @@ func (s *server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Resolve the candidate set up front: it is part of the cache key,
-	// and a bad name must 400 here, not fail a queued job. A candidate
-	// may name a studied variant or a schedc-compiled schedule; the
-	// default set tunes over both.
-	var cands []stencilsched.Variant
-	var compiled []stencilsched.CompiledSchedule
-	if len(req.Candidates) == 0 {
-		for _, v := range stencilsched.Variants() {
-			if v.Tiled() && v.MaxTileEdge() > p.BoxN {
-				continue
-			}
-			cands = append(cands, v)
-		}
-		compiled = stencilsched.CompiledSchedules()
-	} else {
-		for _, name := range req.Candidates {
-			v, err := stencilsched.ParseVariant(name)
-			if err != nil {
-				cs, csErr := stencilsched.CompiledScheduleByName(name)
-				if csErr != nil {
-					httpError(w, http.StatusBadRequest, "%v", err)
-					return
-				}
-				compiled = append(compiled, cs)
-				continue
-			}
-			// Feasibility is a request property, so infeasible tiles 400
-			// here rather than failing the queued job (AutotuneContext
-			// rejects them too — this keeps the error out of the queue).
-			if v.Tiled() && v.MaxTileEdge() > p.BoxN {
-				httpError(w, http.StatusBadRequest,
-					"candidate %s infeasible: tile edge %d exceeds box_n %d", v.Name(), v.MaxTileEdge(), p.BoxN)
-				return
-			}
-			cands = append(cands, v)
-		}
-	}
-	if len(cands)+len(compiled) == 0 {
-		httpError(w, http.StatusBadRequest, "no feasible candidates for box_n %d", p.BoxN)
+	// and a bad name or a tile larger than the box must 400 here, not
+	// fail a queued job.
+	cands, err := stencilsched.TuneCandidates(p, req.Candidates)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	key := s.tuneKey(p, req.Reps, cands, compiled)
+	key := s.tuneKey(p, req.Reps, cands)
 	if s.cache != nil {
 		var cached []tuneRow
 		if ok, err := s.cache.Get(key, &cached); err == nil && ok {
@@ -614,30 +581,17 @@ func (s *server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cacheMisses.Inc()
 	s.submit(w, r, "autotune", p.Threads, func(ctx context.Context) (any, error) {
-		var rows []tuneRow
-		if len(cands) > 0 {
-			results, err := stencilsched.AutotuneContext(ctx, p, req.Reps, cands)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range results {
-				rows = append(rows, tuneRow{Variant: t.Variant.Name(), Seconds: t.Seconds,
-					Steps: 1, StepSeconds: t.Seconds, MCellsPerSec: t.MCellsPerSec})
-			}
+		results, err := stencilsched.Autotune(ctx, p, req.Reps, cands)
+		if err != nil {
+			return nil, err
 		}
-		if len(compiled) > 0 {
-			results, err := stencilsched.AutotuneCompiledContext(ctx, p, req.Reps, compiled)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range results {
-				rows = append(rows, tuneRow{Variant: t.Schedule.Name, Seconds: t.Seconds,
-					Steps: t.Schedule.Steps(), StepSeconds: t.StepSeconds, MCellsPerSec: t.MCellsPerSec})
-			}
-		}
-		// Rank by per-step time: a temporal sweep doing K steps is
+		// Fastest per Euler step first: a temporal sweep doing K steps is
 		// comparable to a single-step schedule only after normalization.
-		sort.Slice(rows, func(i, j int) bool { return rows[i].StepSeconds < rows[j].StepSeconds })
+		rows := make([]tuneRow, len(results))
+		for i, t := range results {
+			rows[i] = tuneRow{Variant: t.Schedule.Name, Seconds: t.Seconds,
+				Steps: t.Schedule.Steps(), StepSeconds: t.StepSeconds, MCellsPerSec: t.MCellsPerSec}
+		}
 		if s.cache != nil {
 			if err := s.cache.Put(key, rows); err != nil {
 				// A broken cache must not fail a finished measurement.
@@ -652,31 +606,25 @@ func (s *server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// tuneKeySchema versions the cached-row semantics. v3: the compiled
-// candidate axis includes spectral (fft) backends whose rows amortize
-// one O(N log N) pass over K steps under a declared rounding tolerance;
-// v2 entries predate the backend split and must miss, not be replayed.
-// (v2 added the temporal-K axis — steps, step_seconds — over v1's
-// sweep-time ranking.)
-const tuneKeySchema = "schema=3"
+// tuneKeySchema versions the cached-row semantics. v4: every candidate
+// is one schedule handle measured by one loop, and generated rows whose
+// tile exceeds the box are no longer measured on a clamped tile; v3
+// entries may hold such rows and must miss, not be replayed. (v3 added
+// the spectral backends, v2 the temporal-K axis — steps, step_seconds —
+// over v1's sweep-time ranking.)
+const tuneKeySchema = "schema=4"
 
 // tuneKey builds the cache key: schema version + host fingerprint +
 // problem + reps + the exact candidate set (order-insensitive). Every
-// candidate is labeled with its axis — "variant=" for studied
-// schedules, "compiled=... k=K" for schedc-compiled ones — so the key
-// captures the full candidate axis set: pooled unlabeled names would
-// alias a studied and a compiled candidate that ever shared a name, and
-// would miss a contract change on an existing name (a schedule becoming
-// temporal changes k even though the name persists). Widening the
-// candidate set in any axis (new tile families, new K points) therefore
-// always changes the key.
-func (s *server) tuneKey(p stencilsched.Problem, reps int, cands []stencilsched.Variant, compiled []stencilsched.CompiledSchedule) string {
-	names := make([]string, 0, len(cands)+len(compiled))
-	for _, v := range cands {
-		names = append(names, "variant="+v.Name())
-	}
-	for _, cs := range compiled {
-		names = append(names, fmt.Sprintf("compiled=%s k=%d", cs.Name, cs.TemporalK))
+// candidate is labeled with its name and the contract the name alone
+// does not fix — the steps one sweep advances and the backend — so a
+// schedule that becomes temporal or spectral under an existing name
+// changes the key, and widening the candidate set in any axis (new tile
+// families, new K points) always does.
+func (s *server) tuneKey(p stencilsched.Problem, reps int, cands []stencilsched.Schedule) string {
+	names := make([]string, 0, len(cands))
+	for _, sc := range cands {
+		names = append(names, fmt.Sprintf("schedule=%s k=%d spectral=%t", sc.Name, sc.TemporalK, sc.Spectral))
 	}
 	sort.Strings(names)
 	parts := append([]string{
@@ -818,7 +766,12 @@ func (s *server) handleVariants(w http.ResponseWriter, r *http.Request) {
 		Note:   "see internal/sched for the axes; schedc rows are compiled from internal/schedc schedule descriptions",
 		Header: []string{"name", "family", "granularity", "comp loop", "tile", "intra-tile"},
 	}
-	for _, v := range stencilsched.Variants() {
+	for _, sc := range stencilsched.Schedules() {
+		if sc.Generated || sc.Spectral {
+			t.Add(sc.Name, "schedc", "P>=Box", "-", "-", "-")
+			continue
+		}
+		v := sc.Variant
 		tile := "-"
 		if v.Tiled() {
 			sh := v.TileShape()
@@ -829,9 +782,6 @@ func (s *server) handleVariants(w http.ResponseWriter, r *http.Request) {
 			intra = v.Intra.String()
 		}
 		t.Add(v.Name(), v.Family.String(), v.Par.String(), v.Comp.String(), tile, intra)
-	}
-	for _, cs := range stencilsched.CompiledSchedules() {
-		t.Add(cs.Name, "schedc", "P>=Box", "-", "-", "-")
 	}
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -106,19 +106,26 @@ func TestVariantsEndpoint(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/variants", nil, &table); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	want := 32 + len(stencilsched.CompiledSchedules())
-	if len(table.Rows) != want {
-		t.Fatalf("rows = %d, want the 32 studied variants plus %d compiled schedules",
-			len(table.Rows), len(stencilsched.CompiledSchedules()))
-	}
-	compiledRows := 0
-	for _, row := range table.Rows {
-		if row[1] == "schedc" {
-			compiledRows++
+	compiled := 0
+	for _, sc := range stencilsched.Schedules() {
+		if sc.Generated || sc.Spectral {
+			compiled++
 		}
 	}
-	if compiledRows != len(stencilsched.CompiledSchedules()) {
-		t.Fatalf("schedc rows = %d, want %d", compiledRows, len(stencilsched.CompiledSchedules()))
+	if want := 32 + compiled; len(table.Rows) != want || len(stencilsched.Schedules()) != want {
+		t.Fatalf("rows = %d, want the 32 studied variants plus %d compiled schedules",
+			len(table.Rows), compiled)
+	}
+	compiledRows := 0
+	for i, row := range table.Rows {
+		if row[1] == "schedc" {
+			compiledRows++
+		} else if i >= 32 {
+			t.Fatalf("studied row %q after the first schedc row", row[0])
+		}
+	}
+	if compiledRows != compiled {
+		t.Fatalf("schedc rows = %d, want %d", compiledRows, compiled)
 	}
 	resp, err := http.Get(ts.URL + "/v1/variants?format=text")
 	if err != nil {
@@ -446,15 +453,15 @@ func TestRunDrainsInFlightJobsOnShutdown(t *testing.T) {
 	}
 }
 
-func parseVariants(t *testing.T, names ...string) []stencilsched.Variant {
+func schedulesByName(t *testing.T, names ...string) []stencilsched.Schedule {
 	t.Helper()
-	out := make([]stencilsched.Variant, len(names))
+	out := make([]stencilsched.Schedule, len(names))
 	for i, n := range names {
-		v, err := stencilsched.ParseVariant(n)
+		sc, err := stencilsched.ScheduleByName(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = v
+		out[i] = sc
 	}
 	return out
 }
@@ -462,20 +469,19 @@ func parseVariants(t *testing.T, names ...string) []stencilsched.Variant {
 func TestTuneKeyStability(t *testing.T) {
 	s, _ := newTestServer(t, config{})
 	prob := stencilsched.Problem{BoxN: 8, NumBoxes: 1, Threads: 2}
-	a := parseVariants(t, "Baseline: P>=Box", "Shift-Fuse: P>=Box")
-	b := parseVariants(t, "Shift-Fuse: P>=Box", "Baseline: P>=Box")
-	if s.tuneKey(prob, 1, a, nil) != s.tuneKey(prob, 1, b, nil) {
+	a := schedulesByName(t, "Baseline: P>=Box", "Shift-Fuse: P>=Box")
+	b := schedulesByName(t, "Shift-Fuse: P>=Box", "Baseline: P>=Box")
+	if s.tuneKey(prob, 1, a) != s.tuneKey(prob, 1, b) {
 		t.Fatal("candidate order changed the cache key")
 	}
-	if s.tuneKey(prob, 1, a, nil) == s.tuneKey(prob, 2, a, nil) {
+	if s.tuneKey(prob, 1, a) == s.tuneKey(prob, 2, a) {
 		t.Fatal("reps not part of the cache key")
 	}
 	other := stencilsched.Problem{BoxN: 16, NumBoxes: 1, Threads: 2}
-	if s.tuneKey(other, 1, a, nil) == s.tuneKey(prob, 1, a, nil) {
+	if s.tuneKey(other, 1, a) == s.tuneKey(prob, 1, a) {
 		t.Fatal("problem not part of the cache key")
 	}
-	compiled := stencilsched.CompiledSchedules()
-	if s.tuneKey(prob, 1, a, compiled) == s.tuneKey(prob, 1, a, nil) {
+	if s.tuneKey(prob, 1, stencilsched.Schedules()) == s.tuneKey(prob, 1, a) {
 		t.Fatal("compiled candidates not part of the cache key")
 	}
 }
@@ -489,28 +495,35 @@ func TestTuneKeyStability(t *testing.T) {
 func TestTuneCacheMissOnWidenedCandidateSet(t *testing.T) {
 	s, _ := newTestServer(t, config{})
 	prob := stencilsched.Problem{BoxN: 8, NumBoxes: 1, Threads: 2}
-	vars := parseVariants(t, "Baseline: P>=Box")
-	all := stencilsched.CompiledSchedules()
-	var classic, temporal []stencilsched.CompiledSchedule
-	for _, cs := range all {
-		if cs.TemporalK > 0 {
-			temporal = append(temporal, cs)
-		} else {
-			classic = append(classic, cs)
+	vars := schedulesByName(t, "Baseline: P>=Box")
+	var classic, temporal []stencilsched.Schedule
+	for _, sc := range stencilsched.Schedules() {
+		switch {
+		case sc.TemporalK > 0:
+			temporal = append(temporal, sc)
+		case sc.Generated:
+			classic = append(classic, sc)
 		}
 	}
 	if len(classic) == 0 || len(temporal) == 0 {
 		t.Fatalf("want both classic and temporal compiled schedules, got %d/%d", len(classic), len(temporal))
 	}
-	narrow := s.tuneKey(prob, 1, vars, classic)
+	with := func(sets ...[]stencilsched.Schedule) string {
+		var all []stencilsched.Schedule
+		for _, set := range sets {
+			all = append(all, set...)
+		}
+		return s.tuneKey(prob, 1, all)
+	}
+	narrow := with(vars, classic)
 	if err := s.cache.Put(narrow, []tuneRow{{Variant: classic[0].Name, Seconds: 0.01, Steps: 1, StepSeconds: 0.01}}); err != nil {
 		t.Fatal(err)
 	}
 	widenings := map[string]string{
-		"one more temporal K point":   s.tuneKey(prob, 1, vars, append(append([]stencilsched.CompiledSchedule{}, classic...), temporal[0])),
-		"one more studied variant":    s.tuneKey(prob, 1, parseVariants(t, "Baseline: P>=Box", "Shift-Fuse: P>=Box"), classic),
-		"full joint (tile, K) sweep":  s.tuneKey(prob, 1, vars, all),
-		"same names, variant dropped": s.tuneKey(prob, 1, nil, classic),
+		"one more temporal K point":   with(vars, classic, temporal[:1]),
+		"one more studied variant":    with(schedulesByName(t, "Baseline: P>=Box", "Shift-Fuse: P>=Box"), classic),
+		"full joint (tile, K) sweep":  with(vars, classic, temporal),
+		"same names, variant dropped": with(classic),
 	}
 	for what, key := range widenings {
 		if key == narrow {
@@ -522,28 +535,37 @@ func TestTuneCacheMissOnWidenedCandidateSet(t *testing.T) {
 			t.Errorf("%s: cache Get = (%v, %v), want miss", what, ok, err)
 		}
 	}
-	// The K axis must be in the key independently of the name: the same
-	// schedule name with a different K is a different measurement.
-	probe := temporal[0]
-	probe.TemporalK++
-	if s.tuneKey(prob, 1, vars, []stencilsched.CompiledSchedule{temporal[0]}) ==
-		s.tuneKey(prob, 1, vars, []stencilsched.CompiledSchedule{probe}) {
-		t.Error("TemporalK not part of the cache key")
+	// The K axis and the backend must be in the key independently of the
+	// name: the same schedule name under a different contract is a
+	// different measurement.
+	deeper, spectral := temporal[0], temporal[0]
+	deeper.TemporalK++
+	spectral.Spectral = !spectral.Spectral
+	for what, probe := range map[string]stencilsched.Schedule{"TemporalK": deeper, "Spectral": spectral} {
+		if with(vars, temporal[:1]) == with(vars, []stencilsched.Schedule{probe}) {
+			t.Errorf("%s not part of the cache key", what)
+		}
 	}
 }
 
 func TestAutotuneRejectsInfeasibleTileCandidate(t *testing.T) {
 	_, ts := newTestServer(t, config{})
-	var e errorResponse
-	// A 32-tile candidate on an 8^3 box must 400 at submit time rather
-	// than fail (or silently mismeasure) as a queued job.
-	code := doJSON(t, http.MethodPost, ts.URL+"/v1/autotune",
-		map[string]any{"box_n": 8, "threads": 1, "candidates": []string{"Shift-Fuse OT-32: P<Box"}}, &e)
-	if code != http.StatusBadRequest {
-		t.Fatalf("infeasible candidate: code %d, want 400", code)
-	}
-	if !strings.Contains(e.Error, "infeasible") || !strings.Contains(e.Error, "32") {
-		t.Fatalf("unhelpful error: %q", e.Error)
+	// A candidate whose tile exceeds the 8^3 box must 400 at submit time
+	// rather than fail (or be measured on a clamped tile) as a queued
+	// job — studied and generated schedules alike.
+	for _, c := range []struct{ candidate, edge string }{
+		{"Shift-Fuse OT-32: P<Box", "32"},
+		{"Temporal K2 OT-16 (generated)", "16"},
+	} {
+		var e errorResponse
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/autotune",
+			map[string]any{"box_n": 8, "threads": 1, "candidates": []string{c.candidate}}, &e)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: code %d, want 400", c.candidate, code)
+		}
+		if !strings.Contains(e.Error, "infeasible") || !strings.Contains(e.Error, "tile edge "+c.edge) {
+			t.Fatalf("%s: unhelpful error: %q", c.candidate, e.Error)
+		}
 	}
 }
 

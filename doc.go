@@ -17,6 +17,13 @@
 // Every variant computes bit-for-bit the same result as the Figure 6
 // reference kernel; Verify checks that on demand.
 //
+// A Schedule is the one handle for anything that applies the operator to
+// a box — a studied variant, a schedc-compiled runner, an FFT backend —
+// and Autotune ranks them per Euler step on this host:
+//
+//	best, _ := stencilsched.Autotune(ctx, stencilsched.Problem{BoxN: 32, NumBoxes: 4, Threads: 4}, 3, nil)
+//	fmt.Println(best[0].Schedule.Name, best[0].StepSeconds)
+//
 // # Measured vs modeled
 //
 // RunMeasured executes the real goroutine-parallel kernels on the host.
@@ -32,7 +39,6 @@
 // that queues solves and measured tuning sweeps on a bounded worker pool
 // (internal/jobs), caches autotune results per host/problem/candidate
 // set (internal/tunecache), and exposes Prometheus metrics
-// (internal/metrics). The context-aware entry points RunMeasuredContext
-// and AutotuneContext exist for it — and for any caller that needs to
-// cancel a long measurement.
+// (internal/metrics). RunMeasuredContext and Autotune take a context for
+// it — and for any caller that needs to cancel a long measurement.
 package stencilsched

@@ -278,10 +278,7 @@ func CheckBox(r Runner, c Case, maxULP uint64) (dv *Divergence) {
 	// properties — sentinel guards, determinism, rho linearity — is
 	// unchanged: the rho path stays linear through every Euler step
 	// because components 1..4 never read component 0.
-	depth := kernel.NGhost
-	if r.TemporalK > 0 {
-		depth = r.TemporalK * kernel.NGhost
-	}
+	depth := temporal.GhostDepth(r.Steps())
 	oracle := func(phi0, out *fab.FAB) {
 		if r.TemporalK > 0 {
 			temporal.Reference(phi0, out, valid, r.TemporalK, kernel.EulerDt)

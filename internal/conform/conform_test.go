@@ -17,11 +17,10 @@ import (
 func TestRegistryCoverage(t *testing.T) {
 	rs := Registry()
 	// Studied variants + 2 interpreted exemplars + every generated entry
-	// + 3 temporal engine runners + 1 interpreted temporal K1
-	// + 5 spectral FFT runners.
-	want := len(sched.Studied()) + 2 + len(generated.Entries()) + 4 + 5
-	if len(rs) != want {
-		t.Fatalf("registry has %d runners, want %d (studied variants + interpreted + generated + temporal + spectral)", len(rs), want)
+	// + 1 interpreted temporal K1 + 5 spectral FFT runners.
+	want := len(sched.Studied()) + 2 + len(generated.Entries()) + 1 + 5
+	if len(rs) != want || want != 53 {
+		t.Fatalf("registry has %d runners, its parts sum to %d, want 53 (32 studied + 3 interpreted + 13 generated + 5 spectral)", len(rs), want)
 	}
 	seen := map[string]bool{}
 	interpreted, gen, temporal, spectral := 0, 0, 0, 0
@@ -56,8 +55,8 @@ func TestRegistryCoverage(t *testing.T) {
 	if gen != 13 {
 		t.Errorf("registry has %d generated runners, want 13 (4 classic + 9 temporal)", gen)
 	}
-	if temporal != 18 {
-		t.Errorf("registry has %d temporal runners, want 18 (9 generated + 3 engine + 1 interpreted + 5 spectral)", temporal)
+	if temporal != 15 {
+		t.Errorf("registry has %d temporal runners, want 15 (9 generated + 1 interpreted + 5 spectral)", temporal)
 	}
 	if spectral != 5 {
 		t.Errorf("registry has %d spectral runners, want 5 (K 1/2/4/8/16)", spectral)

@@ -8,7 +8,6 @@ import (
 	"stencilsched/internal/fab"
 	"stencilsched/internal/fft"
 	"stencilsched/internal/sched"
-	"stencilsched/internal/temporal"
 	"stencilsched/internal/variants"
 	"stencilsched/internal/variants/generated"
 )
@@ -46,6 +45,11 @@ type Runner struct {
 	// the sweep checks them with CheckPeriodic in tolerance mode instead
 	// of CheckBox/CheckLevel.
 	Spectral bool
+	// TileEdge is the largest spatial tile edge of a tiled schedule, 0
+	// for an untiled one. On a box smaller than the tile the executors
+	// clamp and run a different schedule than the name says, which the
+	// conformance checks want and a measurement does not.
+	TileEdge int
 	// Tol is the error budget of a tolerance-mode (Spectral) runner; nil
 	// means SpectralTolerance. Bitwise runners leave it nil and are
 	// never compared through it.
@@ -55,11 +59,23 @@ type Runner struct {
 	Run func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error
 }
 
-// variantRunner wraps one hand-written scheduling variant.
-func variantRunner(v sched.Variant) Runner {
+// Steps returns the number of Euler steps one sweep of the runner
+// advances: TemporalK for temporal and spectral runners, 1 otherwise.
+func (r Runner) Steps() int {
+	return max(r.TemporalK, 1)
+}
+
+// VariantRunner wraps one hand-written scheduling variant, studied or
+// from the extended rectangular-tile space.
+func VariantRunner(v sched.Variant) Runner {
+	edge := 0
+	if v.Tiled() {
+		edge = v.MaxTileEdge()
+	}
 	return Runner{
-		Name:    v.Name(),
-		Variant: v,
+		Name:     v.Name(),
+		Variant:  v,
+		TileEdge: edge,
 		Run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
 			variants.Exec(v, phi0, phi1, valid, threads)
 			return nil
@@ -105,20 +121,16 @@ func Registry() []Runner {
 		}
 	}
 	for _, v := range sched.Studied() {
-		add(variantRunner(v))
+		add(VariantRunner(v))
 	}
 	add(interpretedRunner("CodeGen series (interpreted)", false))
 	add(interpretedRunner("CodeGen row-fused (interpreted)", true))
 	for _, e := range generated.Entries() {
-		add(Runner{Name: e.Name, Generated: true, TemporalK: e.TemporalK, Run: e.Run})
+		add(Runner{Name: e.Name, Generated: true, TemporalK: e.TemporalK, TileEdge: e.TileEdge, Run: e.Run})
 	}
-	// The parallel temporal engine (threaded across tiles, arbitrary
-	// tile edge) and the interpreted time-domain schedule. Deeper
-	// interpreted K are pinned by the dedicated temporal sweep test —
-	// their instance counts are too large for the per-build registry.
-	for _, k := range []int{1, 2, 4} {
-		add(temporalEngineRunner(k))
-	}
+	// The interpreted time-domain schedule. Deeper interpreted K are
+	// pinned by the dedicated temporal sweep test — their instance
+	// counts are too large for the per-build registry.
 	add(temporalInterpretedRunner(1))
 	// The spectral fast path: one FFT pass answers K Euler steps on
 	// periodic frozen-velocity data. Deep K are cheap here (the symbol
@@ -146,19 +158,6 @@ func spectralRunner(k int) Runner {
 		Tol:       &SpectralTolerance,
 		Run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
 			return fft.Solve(phi0, phi1, valid, fft.Config{K: k, Threads: threads})
-		},
-	}
-}
-
-// temporalEngineRunner wraps the internal/temporal tiled engine: K Euler
-// steps per sweep on 8^3 tiles with real thread parallelism across
-// tiles, bitwise independent of both (tile edges and thread count).
-func temporalEngineRunner(k int) Runner {
-	return Runner{
-		Name:      fmt.Sprintf("Temporal K%d (engine)", k),
-		TemporalK: k,
-		Run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
-			return temporal.Apply(phi0, phi1, valid, temporal.Config{K: k, TileEdge: 8, Threads: threads})
 		},
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"stencilsched/internal/fab"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
-	"stencilsched/internal/temporal"
 	"stencilsched/internal/variants/generated"
 )
 
@@ -70,8 +69,7 @@ func TestTemporalSweep(t *testing.T) {
 }
 
 // TestTemporalGeneratedMatchesInterpreted pins the schedc-generated
-// temporal runners (all tile edges) and the tiled engine bitwise against
-// the interpreted time-domain schedule — not just both-against-oracle,
+// temporal runners (all tile edges) bitwise against the interpreted time-domain schedule — not just both-against-oracle,
 // but output-slice against output-slice — across K in {1,2,4} and
 // threads in {1,4}.
 func TestTemporalGeneratedMatchesInterpreted(t *testing.T) {
@@ -101,9 +99,5 @@ func TestTemporalGeneratedMatchesInterpreted(t *testing.T) {
 				check(e.Name, e.Run)
 			}
 		}
-		kk := k
-		check("engine tile=5", func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
-			return temporal.Apply(phi0, phi1, valid, temporal.Config{K: kk, TileEdge: 5, Threads: threads})
-		})
 	}
 }

@@ -166,22 +166,6 @@ type Config struct {
 	// RetryBackoff is the initial retry delay, doubled per attempt.
 	// Zero defaults to 200µs.
 	RetryBackoff time.Duration
-	// NoOverlap disables the interior/boundary split that hides the
-	// exchange behind interior compute (for A/B measurement).
-	NoOverlap bool
-	// Temporal switches each rank's intra-superstep engine to the
-	// internal/temporal tiled wavefront: the HaloK sub-steps of a
-	// superstep run as one K-step temporal sweep per owned box, with
-	// spatial tiles of edge TemporalTile carrying their own cache-deep
-	// working sets. The result is bitwise identical to the sub-step
-	// path (both compose the same flux-divergence kernel), so the two
-	// engines differ only in locality. Variant is ignored when set, and
-	// compute always waits for the exchange (no interior overlap).
-	Temporal bool
-	// TemporalTile is the spatial tile edge of the temporal sweep;
-	// <= 0 runs each owned box as a single tile. Only read when
-	// Temporal is set.
-	TemporalTile int
 	// Hook is the fault-injection test hook (see TestHook).
 	Hook TestHook
 }

@@ -10,7 +10,6 @@ import (
 	"stencilsched/internal/fab"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
-	"stencilsched/internal/temporal"
 	"stencilsched/internal/variants"
 )
 
@@ -24,7 +23,6 @@ type runner struct {
 
 	fabs map[int]*fab.FAB // box index -> deep-ghosted solution FAB
 	accs map[int]*fab.FAB // box index -> divergence accumulator
-	outs map[int]*fab.FAB // box index -> temporal-sweep output (Temporal only)
 
 	pending    map[pendKey]Frame
 	pendingCap int
@@ -41,8 +39,8 @@ type pendKey struct {
 // RunRank executes the whole solve for the transport's rank against an
 // already-built plan. It performs one deep ghost exchange per superstep
 // (send, local copies, receive — with the receive overlapped against
-// interior compute unless cfg.NoOverlap), then HaloK explicit update
-// sub-steps over shrinking regions. Any failure is returned as a
+// interior compute), then HaloK explicit update sub-steps over shrinking
+// regions. Any failure is returned as a
 // *RankError; by the time RunRank returns, no goroutine it started is
 // left running.
 func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankResult, error) {
@@ -58,7 +56,6 @@ func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankRe
 		tr:   tr,
 		fabs: map[int]*fab.FAB{},
 		accs: map[int]*fab.FAB{},
-		outs: map[int]*fab.FAB{},
 	}
 	r.pending = map[pendKey]Frame{}
 	r.pendingCap = 2*len(r.rp.Recvs) + 16
@@ -77,12 +74,6 @@ func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankRe
 		}
 		r.fabs[bi] = f
 		r.accs[bi] = fab.New(r.clipNonPeriodic(b.Grow((plan.HaloK-1)*kernel.NGhost)), kernel.NComp)
-		if cfg.Temporal {
-			// The temporal sweep writes stepped values here (tiles read
-			// their neighbors' pre-step state from the solution FAB, so
-			// the sweep cannot run in place).
-			r.outs[bi] = fab.New(b, kernel.NComp)
-		}
 	}
 
 	super := 0
@@ -159,10 +150,6 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 		r.stats.LocalCopies++
 	}
 
-	if r.cfg.Temporal {
-		return r.temporalSubsteps(ctx, super, k)
-	}
-
 	// Receive overlapped with interior compute: remote frames write only
 	// ghost cells (motion regions never intersect a valid box), and the
 	// interior — the valid box shrunk by one stencil radius — reads only
@@ -177,7 +164,7 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 		b := r.plan.Layout.Boxes[bi]
 		reg := r.region(b, 0, k)
 		interior := b.Grow(-kernel.NGhost)
-		if r.cfg.NoOverlap || interior.IsEmpty() {
+		if interior.IsEmpty() {
 			shells = append(shells, pieceRef{bi, reg})
 			continue
 		}
@@ -245,47 +232,6 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 		}
 		r.stats.ComputeSec += time.Since(t0).Seconds()
 	}
-	return nil
-}
-
-// temporalSubsteps finishes an already-sent exchange, then runs the
-// superstep's k sub-steps as one K-step temporal sweep per owned box —
-// the deep-halo/temporal-blocking composition: the exchange fills a
-// k-deep halo once, and the intra-node wavefront steps each spatial
-// tile k times while its working set is cache-resident. temporal.Step
-// clips sub-step regions exactly like r.region does, and its kernel is
-// the same compiled series schedule, so the output is bitwise identical
-// to the sub-step path. Compute always waits for the exchange here:
-// the sweep's first tile already reads the full k-deep halo.
-func (r *runner) temporalSubsteps(ctx context.Context, super, k int) error {
-	recvStart := time.Now()
-	rerr := r.recvAll(ctx, super)
-	r.stats.ExchangeSec += time.Since(recvStart).Seconds()
-	if rerr != nil {
-		return rerr
-	}
-	// Hook parity with the sub-step path: one "substep" checkpoint per
-	// fused Euler step, so fault injection by phase count still lands.
-	for j := 0; j < k; j++ {
-		if err := r.hook(super, "substep"); err != nil {
-			return err
-		}
-	}
-	t0 := time.Now()
-	cfg := temporal.Config{K: k, TileEdge: r.cfg.TemporalTile, Threads: r.cfg.Threads, Dt: r.cfg.Dt}
-	for _, bi := range r.rp.Boxes {
-		b := r.plan.Layout.Boxes[bi]
-		clip := r.clipNonPeriodic(b.Grow(k * kernel.NGhost))
-		if err := temporal.Step(r.fabs[bi], r.outs[bi], b, clip, cfg); err != nil {
-			return &RankError{Rank: r.rank, Peer: -1, Step: super, Op: "temporal", Err: err}
-		}
-		r.fabs[bi].CopyFrom(r.outs[bi], b)
-		for j := 0; j < k; j++ {
-			reg := r.region(b, j, k)
-			r.stats.RecomputedCells += int64(reg.NumPts() - b.NumPts())
-		}
-	}
-	r.stats.ComputeSec += time.Since(t0).Seconds()
 	return nil
 }
 

@@ -113,11 +113,6 @@ func (f *FAB) FillComp(c int, v float64) {
 	}
 }
 
-// FillRegion sets component c to v on the intersection of r with the box.
-func (f *FAB) FillRegion(r box.Box, c int, v float64) {
-	f.forRegion(r, func(off int) { f.data[off+c*f.sc] = v })
-}
-
 func (f *FAB) forRegion(r box.Box, fn func(off int)) {
 	r = r.Intersect(f.bx)
 	if r.IsEmpty() {

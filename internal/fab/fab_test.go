@@ -140,15 +140,6 @@ func TestFillAndComp(t *testing.T) {
 	}
 }
 
-func TestFillRegionClips(t *testing.T) {
-	f := New(box.Cube(4), 1)
-	f.FillRegion(box.New(ivect.New(2, 2, 2), ivect.New(10, 10, 10)), 0, 1)
-	want := 2 * 2 * 2 // clipped region is [2,3]^3
-	if got := f.SumComp(f.Box(), 0); got != float64(want) {
-		t.Fatalf("SumComp = %v, want %d", got, want)
-	}
-}
-
 func TestCopyFromIntersection(t *testing.T) {
 	src := New(box.Cube(4), 2)
 	rnd := rand.New(rand.NewSource(7))

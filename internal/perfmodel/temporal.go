@@ -139,7 +139,7 @@ func TemporalTrafficBytes(n, tile, k int, m machine.Machine, p int) TemporalTraf
 
 // BestTemporalConfig searches a (tile, K) grid for the lowest modeled
 // per-step traffic and returns the winning point — the model-driven
-// counterpart of the measured joint search AutotuneCompiled runs. Zero
+// counterpart of the measured joint search Autotune runs. Zero
 // tiles mean the whole box.
 func BestTemporalConfig(n int, m machine.Machine, p int, tiles, ks []int) (tile, k int, tr TemporalTraffic) {
 	first := true

@@ -68,6 +68,18 @@ type Family struct {
 	Progs []codegen.ProgramDesc
 }
 
+// TileEdge is the largest spatial tile edge of the family's programs, 0
+// when none is tiled. It is emitted into the generated Entry, so a
+// caller can tell that a box is smaller than the tile the runner was
+// compiled for.
+func (f Family) TileEdge() int {
+	edge := 0
+	for _, p := range f.Progs {
+		edge = max(edge, p.TileEdge)
+	}
+	return edge
+}
+
 // axisOf maps a loop-variable name to its spatial axis: x/tx are axis 0,
 // y/ty axis 1, z/tz axis 2.
 func axisOf(name string) (int, error) {

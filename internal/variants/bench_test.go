@@ -7,7 +7,6 @@ import (
 	"stencilsched/internal/fab"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/sched"
-	"stencilsched/internal/temporal"
 	"stencilsched/internal/variants/generated"
 )
 
@@ -42,8 +41,8 @@ func BenchmarkFused48(b *testing.B) {
 }
 
 // BenchmarkTemporal48 is BenchmarkFused48 for the compiled schedules: the
-// generated temporal grid (K Euler steps per sweep), the tiled engine, and
-// the two spatial runners the temporal sub-step is built from, on one
+// generated temporal grid (K Euler steps per sweep) and the two spatial
+// runners the temporal sub-step is built from, on one
 // 48^3 box and one thread, in ns per cell per Euler step.
 func BenchmarkTemporal48(b *testing.B) {
 	const n = 48
@@ -59,9 +58,6 @@ func BenchmarkTemporal48(b *testing.B) {
 			rs = append(rs, runner{e.Name, max(e.TemporalK, 1), e.Run})
 		}
 	}
-	rs = append(rs, runner{"Temporal K2 T32 (engine)", 2, func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
-		return temporal.Apply(phi0, phi1, valid, temporal.Config{K: 2, TileEdge: 32, Threads: threads})
-	}})
 	for _, r := range rs {
 		phi0 := fab.New(valid.Grow(r.k*kernel.NGhost), kernel.NComp)
 		kernel.InitSmooth(phi0, n)

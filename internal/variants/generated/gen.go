@@ -23,8 +23,12 @@ import (
 // steps per sweep, which changes the contract: phi0 must cover valid
 // grown by TemporalK*kernel.NGhost and phi1 accumulates the K-step state
 // delta (state_K - phi0) instead of the raw flux divergence.
+//
+// TileEdge > 0 is the spatial tile edge the runner was compiled for; on
+// a smaller box the tile loops clamp and the whole box runs as one tile.
 type Entry struct {
 	Name      string
 	Run       func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error
 	TemporalK int
+	TileEdge  int
 }

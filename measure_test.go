@@ -72,12 +72,12 @@ func TestRunMeasuredManyRepsMatchesOneRep(t *testing.T) {
 }
 
 func TestAutotuneRejectsInfeasibleExplicitCandidate(t *testing.T) {
-	ot32, err := VariantByName("Shift-Fuse OT-32: P<Box")
+	ot32, err := ScheduleByName("Shift-Fuse OT-32: P<Box")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Problem{BoxN: 8, NumBoxes: 1, Threads: 1}
-	_, err = Autotune(p, 1, []Variant{ot32})
+	_, err = Autotune(context.Background(), p, 1, []Schedule{ot32})
 	if err == nil {
 		t.Fatal("autotune accepted a 32-tile candidate on an 8^3 box")
 	}
@@ -85,7 +85,7 @@ func TestAutotuneRejectsInfeasibleExplicitCandidate(t *testing.T) {
 		t.Fatalf("unhelpful error: %v", err)
 	}
 	// The same tile on a big-enough box stays accepted.
-	if _, err := Autotune(Problem{BoxN: 32, NumBoxes: 1, Threads: 2}, 1, []Variant{ot32}); err != nil {
+	if _, err := Autotune(context.Background(), Problem{BoxN: 32, NumBoxes: 1, Threads: 2}, 1, []Schedule{ot32}); err != nil {
 		t.Fatalf("feasible explicit candidate rejected: %v", err)
 	}
 }

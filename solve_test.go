@@ -1,6 +1,7 @@
 package stencilsched
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -84,10 +85,10 @@ func TestAdvectionRejectsBadProblem(t *testing.T) {
 }
 
 func TestAutotuneRanksCandidates(t *testing.T) {
-	base, _ := VariantByName("Baseline: P>=Box")
-	fused, _ := VariantByName("Shift-Fuse: P>=Box")
-	res, err := Autotune(Problem{BoxN: 8, NumBoxes: 2, Threads: 2}, 1,
-		[]Variant{base, fused})
+	base, _ := ScheduleByName("Baseline: P>=Box")
+	fused, _ := ScheduleByName("Shift-Fuse: P>=Box")
+	res, err := Autotune(context.Background(), Problem{BoxN: 8, NumBoxes: 2, Threads: 2}, 1,
+		[]Schedule{base, fused})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,21 +100,21 @@ func TestAutotuneRanksCandidates(t *testing.T) {
 	}
 	for _, r := range res {
 		if r.MCellsPerSec <= 0 {
-			t.Fatalf("bad throughput for %s", r.Variant.Name())
+			t.Fatalf("bad throughput for %s", r.Schedule.Name)
 		}
 	}
 }
 
 func TestAutotuneDefaultCandidates(t *testing.T) {
-	res, err := Autotune(Problem{BoxN: 8, NumBoxes: 1, Threads: 1}, 1, nil)
+	res, err := Autotune(context.Background(), Problem{BoxN: 8, NumBoxes: 1, Threads: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tiles of 16 and 32 do not fit an 8^3 box: only T=4 and T=8 tiled
 	// variants plus the untiled ones remain.
 	for _, r := range res {
-		if r.Variant.Tiled() && r.Variant.MaxTileEdge() > 8 {
-			t.Fatalf("infeasible candidate %s measured", r.Variant.Name())
+		if v := r.Schedule.Variant; v.Tiled() && v.MaxTileEdge() > 8 {
+			t.Fatalf("infeasible candidate %s measured", r.Schedule.Name)
 		}
 	}
 	if len(res) < 16 {
@@ -122,7 +123,7 @@ func TestAutotuneDefaultCandidates(t *testing.T) {
 }
 
 func TestAutotuneRejectsBadProblem(t *testing.T) {
-	if _, err := Autotune(Problem{BoxN: 1, NumBoxes: 1}, 1, nil); err == nil {
+	if _, err := Autotune(context.Background(), Problem{BoxN: 1, NumBoxes: 1}, 1, nil); err == nil {
 		t.Fatal("bad problem accepted")
 	}
 }
