@@ -1,16 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
-	"time"
 
-	"stencilsched/internal/box"
+	"stencilsched"
 	"stencilsched/internal/conform"
-	"stencilsched/internal/fab"
-	"stencilsched/internal/kernel"
 	"stencilsched/internal/report"
 )
 
@@ -79,41 +76,39 @@ type compareRecord struct {
 	Families []compareFamily `json:"families"`
 }
 
-// timeRunner measures one registry runner on a warm N^3 box: one
-// untimed warm-up (arena growth, page faults), then reps timed runs
-// taking the minimum. Returns ns per cell.
-func timeRunner(r conform.Runner, phi0 *fab.FAB, b box.Box, reps int) (float64, error) {
-	phi1 := fab.New(b, kernel.NComp)
-	if err := r.Run(phi0, phi1, b, 1); err != nil {
-		return 0, fmt.Errorf("%s: %w", r.Name, err)
-	}
-	best := time.Duration(0)
-	for rep := 0; rep < reps; rep++ {
-		phi1.Fill(0)
-		start := time.Now()
-		err := r.Run(phi0, phi1, b, 1)
-		el := time.Since(start)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", r.Name, err)
-		}
-		if best == 0 || el < best {
-			best = el
-		}
-	}
-	cells := b.NumPts()
-	return float64(best.Nanoseconds()) / float64(cells), nil
-}
-
 // runCompare benchmarks interpreter vs generated vs hand-written for
 // every compiled schedule family on one N^3 box and emits the compare
 // BENCH record. All three implementations of a family execute the same
 // schedule serially within the box, so the per-cell times isolate the
 // execution mechanism: interpreter dispatch vs compiled nest vs
-// hand-written Go.
+// hand-written Go. The named runners are measured by the one autotune
+// loop (one box, one thread); they come from the conformance registry
+// directly because ScheduleByName refuses the interpreted rows.
 func runCompare(o options) error {
-	b := box.Cube(o.n)
-	phi0, _ := kernel.NewState(b)
-	phi0.Randomize(rand.New(rand.NewSource(42)), 0.25, 1.75)
+	var cands []stencilsched.Schedule
+	for _, tr := range compareTriples() {
+		for _, name := range []string{tr.generated, tr.interpreted, tr.handWritten} {
+			if name == "" {
+				continue
+			}
+			r, ok := conform.RunnerByName(name)
+			if !ok {
+				return fmt.Errorf("runner %q not in the conformance registry", name)
+			}
+			cands = append(cands, r)
+		}
+	}
+	p := stencilsched.Problem{BoxN: o.n, NumBoxes: 1, Threads: 1}
+	// One repetition more than asked: the minimum is kept, so the first
+	// one is the warm-up (arena growth, page faults).
+	results, err := stencilsched.Autotune(context.Background(), p, o.reps+1, cands)
+	if err != nil {
+		return err
+	}
+	nsPerCell := make(map[string]float64, len(results))
+	for _, res := range results {
+		nsPerCell[res.Schedule.Name] = res.Seconds * 1e9 / float64(p.Cells())
+	}
 	rec := compareRecord{Mode: "compare", BoxN: o.n, Threads: 1, Reps: o.reps}
 	t := &report.Table{
 		Title:  fmt.Sprintf("interpreter vs generated vs hand-written, N=%d, %d reps (ns/cell)", o.n, o.reps),
@@ -121,45 +116,26 @@ func runCompare(o options) error {
 	}
 	for _, tr := range compareTriples() {
 		cf := compareFamily{
-			Family:      tr.family,
-			Generated:   tr.generated,
-			Interpreted: tr.interpreted,
-			HandWritten: tr.handWritten,
+			Family:             tr.family,
+			Generated:          tr.generated,
+			Interpreted:        tr.interpreted,
+			HandWritten:        tr.handWritten,
+			GeneratedNsPerCell: nsPerCell[tr.generated],
 		}
-		measure := func(name string) (float64, error) {
-			r, ok := conform.RunnerByName(name)
-			if !ok {
-				return 0, fmt.Errorf("runner %q not in the conformance registry", name)
-			}
-			return timeRunner(r, phi0, b, o.reps)
-		}
-		var err error
-		if cf.GeneratedNsPerCell, err = measure(tr.generated); err != nil {
-			return err
-		}
-		interpCol, handCol := "-", "-"
+		interpCol, handCol, speedCol, ratioCol := "-", "-", "-", "-"
 		if tr.interpreted != "" {
-			if cf.InterpretedNsPerCell, err = measure(tr.interpreted); err != nil {
-				return err
-			}
+			cf.InterpretedNsPerCell = nsPerCell[tr.interpreted]
 			cf.SpeedupVsInterpreter = cf.InterpretedNsPerCell / cf.GeneratedNsPerCell
 			interpCol = fmt.Sprintf("%.2f", cf.InterpretedNsPerCell)
-		}
-		if tr.handWritten != "" {
-			if cf.HandWrittenNsPerCell, err = measure(tr.handWritten); err != nil {
-				return err
-			}
-			cf.RatioVsHandWritten = cf.GeneratedNsPerCell / cf.HandWrittenNsPerCell
-			handCol = fmt.Sprintf("%.2f", cf.HandWrittenNsPerCell)
-		}
-		rec.Families = append(rec.Families, cf)
-		speedCol, ratioCol := "-", "-"
-		if cf.SpeedupVsInterpreter > 0 {
 			speedCol = fmt.Sprintf("%.1fx", cf.SpeedupVsInterpreter)
 		}
-		if cf.RatioVsHandWritten > 0 {
+		if tr.handWritten != "" {
+			cf.HandWrittenNsPerCell = nsPerCell[tr.handWritten]
+			cf.RatioVsHandWritten = cf.GeneratedNsPerCell / cf.HandWrittenNsPerCell
+			handCol = fmt.Sprintf("%.2f", cf.HandWrittenNsPerCell)
 			ratioCol = fmt.Sprintf("%.3f", cf.RatioVsHandWritten)
 		}
+		rec.Families = append(rec.Families, cf)
 		t.Add(cf.Family, interpCol, fmt.Sprintf("%.2f", cf.GeneratedNsPerCell), handCol, speedCol, ratioCol)
 	}
 	if err := t.Render(o.out); err != nil {

@@ -14,19 +14,13 @@ import (
 	"stencilsched/internal/fleet"
 	"stencilsched/internal/jobs"
 	"stencilsched/internal/metrics"
-	"stencilsched/internal/tunecache"
 )
 
-// coordConfig sizes a coordinator node.
+// coordConfig sizes a coordinator: the shared node plus the fleet it
+// places onto.
 type coordConfig struct {
+	nodeConfig
 	peers         []fleet.Peer  // the fleet this coordinator places onto
-	workers       int           // concurrent placement jobs
-	queueDepth    int           // pending placements before 503
-	jobTimeout    time.Duration // per-placement ceiling (0 = none)
-	drainTimeout  time.Duration // graceful-shutdown budget
-	cacheDir      string        // fleet cache authority directory ("" disables)
-	jobHistory    int           // terminal placements retained
-	tenantQuota   int           // live placements per tenant (0 = unlimited)
 	probeInterval time.Duration // peer health probe cadence (0 = default, <0 disables)
 }
 
@@ -34,17 +28,12 @@ type coordConfig struct {
 // and measures nothing — every /v1/solve and /v1/autotune request is
 // placed onto a peer by consistent hash of its problem fingerprint and
 // driven to completion by a local placement job, so admission control,
-// tenancy quotas, job listing, cancellation, and drain all reuse the
-// jobs.Queue machinery peers already have. Its tunecache is the fleet's
-// shared cache authority, served over /v1/cache/{get,put}.
+// tenancy quotas, job listing, cancellation, and drain are the node
+// skeleton peers run too. Its tunecache is the fleet's shared cache
+// authority, served over the node's /v1/cache/{get,put}.
 type coordServer struct {
-	cfg   coordConfig
-	co    *fleet.Coordinator
-	queue *jobs.Queue
-	cache *tunecache.Cache
-	reg   *metrics.Registry
-	mux   *http.ServeMux
-	start time.Time
+	*node
+	co *fleet.Coordinator
 
 	placements   *metrics.Counter
 	syncAnswers  *metrics.Counter
@@ -58,9 +47,6 @@ func newCoordinator(cfg coordConfig) (*coordServer, error) {
 	if cfg.workers < 1 {
 		cfg.workers = 16 // placements poll, they do not compute; be generous
 	}
-	if cfg.queueDepth < 1 {
-		cfg.queueDepth = 64
-	}
 	co, err := fleet.New(fleet.Config{
 		Peers:         cfg.peers,
 		ProbeInterval: cfg.probeInterval,
@@ -68,29 +54,13 @@ func newCoordinator(cfg coordConfig) (*coordServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &coordServer{
-		cfg: cfg,
-		co:  co,
-		// Thread budget: placement jobs hold no compute threads, so the
-		// budget equals the worker count — one token per in-flight poll.
-		queue: jobs.New(cfg.workers, cfg.queueDepth, cfg.workers),
-		reg:   metrics.NewRegistry(),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+	// Thread budget: placement jobs hold no compute threads, so the
+	// budget equals the worker count — one token per in-flight poll.
+	n, err := newNode(cfg.nodeConfig, cfg.workers)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.jobHistory > 0 {
-		s.queue.SetHistoryLimit(cfg.jobHistory)
-	}
-	if cfg.tenantQuota > 0 {
-		s.queue.SetTenantLimit(cfg.tenantQuota)
-	}
-	if cfg.cacheDir != "" {
-		c, err := tunecache.Open(cfg.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
-	}
+	s := &coordServer{node: n, co: co}
 	s.placements = s.reg.Counter("stencilserved_fleet_placements_total",
 		"requests placed onto the fleet")
 	s.syncAnswers = s.reg.Counter("stencilserved_fleet_sync_answers_total",
@@ -104,56 +74,30 @@ func newCoordinator(cfg coordConfig) (*coordServer, error) {
 	s.attemptsHist = s.reg.Histogram("stencilserved_fleet_place_attempts",
 		"submission attempts per placement", []float64{1, 2, 3, 5, 8, 13})
 
-	s.handle("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		s.place(w, r, "/v1/solve")
-	})
-	s.handle("POST /v1/autotune", func(w http.ResponseWriter, r *http.Request) {
-		s.place(w, r, "/v1/autotune")
-	})
+	s.handle("POST /v1/solve", s.place)
+	s.handle("POST /v1/autotune", s.place)
 	s.handle("GET /v1/fleet", s.handleFleet)
-	s.handle("GET /v1/jobs", s.handleJobList)
-	s.handle("GET /v1/jobs/{id}", s.handleJobGet)
-	s.handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.handle("POST /v1/cache/get", s.handleCacheGet)
-	s.handle("POST /v1/cache/put", s.handleCachePut)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /healthz", s.handleHealthz)
 	co.Start()
 	return s, nil
 }
 
-func (s *coordServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
 func (s *coordServer) banner(addr net.Addr) string {
-	names := make([]string, len(s.cfg.peers))
-	for i, p := range s.cfg.peers {
+	peers := s.co.Peers()
+	names := make([]string, len(peers))
+	for i, p := range peers {
 		names[i] = p.Name
 	}
 	return fmt.Sprintf("stencilserved: coordinating %d peers [%s] on http://%s (workers=%d, cache=%s)",
-		len(s.cfg.peers), strings.Join(names, " "), addr, s.cfg.workers, s.cfg.cacheDir)
+		len(peers), strings.Join(names, " "), addr, s.workers, s.cacheDir)
 }
 
-func (s *coordServer) drainBudget() time.Duration { return s.cfg.drainTimeout }
-
+// drain shadows the node's: the probe loop stops once the queue has.
 func (s *coordServer) drain(ctx context.Context) error {
-	err := s.queue.Drain(ctx)
+	err := s.node.drain(ctx)
 	s.co.Close()
 	return err
-}
-
-// handle mirrors server.handle: per-route latency histogram plus a
-// route/status response counter, labeled by mux pattern.
-func (s *coordServer) handle(pattern string, h http.HandlerFunc) {
-	route := metrics.Label{Key: "route", Value: pattern}
-	hist := s.reg.Histogram("stencilserved_request_seconds",
-		"request latency by route", nil, route)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		defer hist.ObserveSince(time.Now())
-		h(sw, r)
-		s.reg.Counter("stencilserved_responses_total", "responses by route and status",
-			route, metrics.Label{Key: "code", Value: fmt.Sprintf("%d", sw.code)}).Inc()
-	})
 }
 
 // fleetJobResult is what a completed placement job reports: the peer's
@@ -168,9 +112,11 @@ type fleetJobResult struct {
 }
 
 // place is the coordinator hot path: read the body, submit it to the
-// ring synchronously (so peer cache hits and 4xx rejections relay
-// inline), then hand the long poll to a local placement job.
-func (s *coordServer) place(w http.ResponseWriter, r *http.Request, path string) {
+// ring synchronously under the path it arrived on (so peer cache hits
+// and 4xx rejections relay inline), then hand the long poll to a local
+// placement job.
+func (s *coordServer) place(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.Path
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		s.rejected.Inc()
@@ -178,13 +124,11 @@ func (s *coordServer) place(w http.ResponseWriter, r *http.Request, path string)
 		return
 	}
 	tenant := r.Header.Get(tenantHeader)
-	// Quota pre-check before spending a remote submission. SubmitTagged
-	// below is the authoritative gate; this only avoids the common waste.
-	if s.cfg.tenantQuota > 0 && tenant != "" && s.queue.TenantLive(tenant) >= s.cfg.tenantQuota {
+	// Quota pre-check before spending a remote submission. admit below is
+	// the authoritative gate; this only avoids the common waste.
+	if s.tenantQuota > 0 && tenant != "" && s.queue.TenantLive(tenant) >= s.tenantQuota {
 		s.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"tenant %q at its live-job quota (%d)", tenant, s.cfg.tenantQuota)
+		s.refuseTenant(w, tenant)
 		return
 	}
 	start := time.Now()
@@ -221,7 +165,7 @@ func (s *coordServer) place(w http.ResponseWriter, r *http.Request, path string)
 		return
 	}
 	kind := "fleet-" + strings.TrimPrefix(path, "/v1/")
-	snap, err := s.queue.SubmitTagged(kind, tenant, 1, s.cfg.jobTimeout, func(ctx context.Context) (any, error) {
+	admitted := s.admit(w, r, kind, 1, func(ctx context.Context) (any, error) {
 		out, err := pl.Await(ctx)
 		s.jobSeconds.ObserveSince(start)
 		s.replacements.Add(uint64(out.Replacements))
@@ -234,26 +178,11 @@ func (s *coordServer) place(w http.ResponseWriter, r *http.Request, path string)
 			Result: out.Result,
 		}, nil
 	})
-	if err != nil {
+	if !admitted {
 		// The remote job is already queued on its peer; do not orphan it.
 		pl.Abandon()
 		s.rejected.Inc()
-		switch {
-		case err == jobs.ErrQueueFull:
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusServiceUnavailable, "placement queue full")
-		case err == jobs.ErrDraining:
-			httpError(w, http.StatusServiceUnavailable, "coordinator shutting down")
-		case err == jobs.ErrTenantLimit:
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests,
-				"tenant %q at its live-job quota (%d)", tenant, s.cfg.tenantQuota)
-		default:
-			httpError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return
 	}
-	writeJSON(w, http.StatusAccepted, snap)
 }
 
 // ---- GET /v1/fleet -------------------------------------------------------
@@ -293,95 +222,9 @@ func (s *coordServer) handleFleet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ---- jobs, cache, metrics, health ---------------------------------------
-
-func (s *coordServer) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.queue.List())
-}
-
-func (s *coordServer) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *coordServer) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.queue.Cancel(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// handleCacheGet and handleCachePut serve the fleet cache authority —
-// the same wire protocol the peer server exposes, here backed by the
-// coordinator's own store.
-func (s *coordServer) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		httpError(w, http.StatusServiceUnavailable, "no fleet cache configured")
-		return
-	}
-	var req fleet.CacheGetRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if req.Key == "" {
-		httpError(w, http.StatusBadRequest, "empty cache key")
-		return
-	}
-	v, ok := s.cache.GetRaw(req.Key)
-	if ok {
-		s.reg.Counter("stencilserved_cache_repl_get_hits_total",
-			"replication reads answered from the fleet cache").Inc()
-	} else {
-		s.reg.Counter("stencilserved_cache_repl_get_misses_total",
-			"replication reads the fleet cache could not answer").Inc()
-	}
-	writeJSON(w, http.StatusOK, fleet.CacheGetResponse{Found: ok, Value: v})
-}
-
-func (s *coordServer) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		httpError(w, http.StatusServiceUnavailable, "no fleet cache configured")
-		return
-	}
-	var req fleet.CachePutRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if req.Key == "" || len(req.Value) == 0 {
-		httpError(w, http.StatusBadRequest, "cache put needs both key and value")
-		return
-	}
-	if err := s.cache.PutRaw(req.Key, req.Value); err != nil {
-		httpError(w, http.StatusInternalServerError, "cache put: %v", err)
-		return
-	}
-	s.reg.Counter("stencilserved_cache_repl_puts_total",
-		"replication writes accepted by the fleet cache").Inc()
-	writeJSON(w, http.StatusOK, struct {
-		OK bool `json:"ok"`
-	}{true})
-}
+// ---- metrics, health -----------------------------------------------------
 
 func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.queue.Stats()
-	for _, g := range []struct {
-		status string
-		n      int
-	}{
-		{"pending", st.Pending}, {"running", st.Running}, {"done", st.Done},
-		{"failed", st.Failed}, {"canceled", st.Canceled},
-	} {
-		s.reg.Gauge("stencilserved_jobs", "jobs by lifecycle status",
-			metrics.Label{Key: "status", Value: g.status}).Set(float64(g.n))
-	}
 	for _, p := range s.co.Peers() {
 		lbl := metrics.Label{Key: "peer", Value: p.Name}
 		h := 0.0
@@ -395,12 +238,7 @@ func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("stencilserved_fleet_peer_failures",
 			"typed transport failures observed on this peer", lbl).Set(float64(p.Failures))
 	}
-	s.reg.Gauge("stencilserved_uptime_seconds", "seconds since start").Set(time.Since(s.start).Seconds())
-	if s.cache != nil {
-		s.reg.Gauge("stencilserved_tunecache_entries", "entry files in the fleet cache").Set(float64(s.cache.Len()))
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+	s.writeMetrics(w)
 }
 
 type coordHealthResponse struct {

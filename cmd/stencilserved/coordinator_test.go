@@ -76,8 +76,8 @@ func newTestFleet(t *testing.T, n int, ccfg coordConfig) *testFleet {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("peer-%d", i)
 		srv, err := newServer(config{
-			workers: 2, queueDepth: 16, maxThreads: 4,
-			cacheDir: t.TempDir(), fleetCache: coordURL,
+			nodeConfig: nodeConfig{workers: 2, queueDepth: 16, cacheDir: t.TempDir()},
+			maxThreads: 4, fleetCache: coordURL,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,8 +322,8 @@ func TestFleetCacheReplicationAcrossRestart(t *testing.T) {
 		t.Fatalf("unknown measuring peer %q", placed.Peer)
 	}
 	fresh, err := newServer(config{
-		workers: 2, queueDepth: 16, maxThreads: 4,
-		cacheDir: t.TempDir(), fleetCache: base,
+		nodeConfig: nodeConfig{workers: 2, queueDepth: 16, cacheDir: t.TempDir()},
+		maxThreads: 4, fleetCache: base,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestFleetCacheReplicationAcrossRestart(t *testing.T) {
 // front door — one tenant saturating its quota gets 429 while another
 // tenant still gets through.
 func TestFleetTenantQuota(t *testing.T) {
-	f := newTestFleet(t, 3, coordConfig{tenantQuota: 1})
+	f := newTestFleet(t, 3, coordConfig{nodeConfig: nodeConfig{tenantQuota: 1}})
 	base := f.ts.URL
 
 	code, data := doFleet(t, base+"/v1/solve", "acme", solveBody(0, 2000))

@@ -119,7 +119,7 @@ func TestDistSolveValidation(t *testing.T) {
 // checks the scaled thread grant (ranks x threads) returns to the pool,
 // so a follow-up job is not starved by a dead one.
 func TestDistSolveCancelReleasesThreads(t *testing.T) {
-	s, ts := newTestServer(t, config{workers: 1, maxThreads: 4})
+	s, ts := newTestServer(t, config{nodeConfig: nodeConfig{workers: 1}, maxThreads: 4})
 	body := distSolveBody()
 	body["steps"] = 1000000
 	body["ranks"] = 2

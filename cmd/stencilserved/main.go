@@ -68,25 +68,21 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	nc := nodeConfig{
+		workers: *workers, queueDepth: *depth,
+		jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
+		cacheDir: *cacheDir, jobHistory: *jobHistory, tenantQuota: *tenantQuota,
+	}
 	var svc service
 	var err error
 	if *peers != "" {
 		var fp []fleet.Peer
 		fp, err = parsePeers(*peers)
 		if err == nil {
-			svc, err = newCoordinator(coordConfig{
-				peers: fp, workers: *workers, queueDepth: *depth,
-				jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
-				cacheDir: *cacheDir, jobHistory: *jobHistory,
-				tenantQuota: *tenantQuota, probeInterval: *probeInterval,
-			})
+			svc, err = newCoordinator(coordConfig{nodeConfig: nc, peers: fp, probeInterval: *probeInterval})
 		}
 	} else {
-		svc, err = newServer(config{
-			workers: *workers, queueDepth: *depth, maxThreads: *threads,
-			cacheDir: *cacheDir, jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
-			jobHistory: *jobHistory, tenantQuota: *tenantQuota, fleetCache: *fleetCache,
-		})
+		svc, err = newServer(config{nodeConfig: nc, maxThreads: *threads, fleetCache: *fleetCache})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stencilserved:", err)
@@ -129,9 +125,9 @@ func defaultCacheDir() string {
 	return filepath.Join(os.TempDir(), "stencilserved-tunecache")
 }
 
-// service is what run needs from either server flavor: the peer server
-// and the coordinator share the serve/drain lifecycle but differ in
-// what sits behind the mux and what must be torn down at exit.
+// service is what run needs from either role: the node skeleton gives
+// both the handler and the drain lifecycle; they differ in the banner
+// and in what else must be torn down at exit.
 type service interface {
 	http.Handler
 	banner(addr net.Addr) string

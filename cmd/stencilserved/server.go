@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -23,27 +21,17 @@ import (
 	"stencilsched/internal/tunecache"
 )
 
-// config sizes the service.
+// config sizes a peer: the shared node plus what only a solving node has.
 type config struct {
-	workers      int           // concurrent jobs
-	queueDepth   int           // pending jobs before 503
-	maxThreads   int           // total goroutine-thread budget across jobs
-	cacheDir     string        // tunecache directory ("" disables caching)
-	jobTimeout   time.Duration // per-job ceiling (0 = none)
-	drainTimeout time.Duration // graceful-shutdown budget
-	jobHistory   int           // terminal jobs retained (0 = jobs.DefaultHistoryLimit)
-	tenantQuota  int           // live jobs per tenant (0 = unlimited)
-	fleetCache   string        // coordinator base URL for tunecache read-through ("" = standalone)
+	nodeConfig
+	maxThreads int    // total goroutine-thread budget across jobs
+	fleetCache string // coordinator base URL for tunecache read-through ("" = standalone)
 }
 
-// server wires the queue, tuning cache, and metrics behind the HTTP API.
+// server is stencilserved in peer mode: the node skeleton plus the
+// endpoints that compute — solve, autotune, conformance, model, variants.
 type server struct {
-	cfg   config
-	queue *jobs.Queue
-	cache *tunecache.Cache
-	reg   *metrics.Registry
-	mux   *http.ServeMux
-	start time.Time
+	*node
 
 	cacheHits   *metrics.Counter
 	cacheMisses *metrics.Counter
@@ -71,37 +59,19 @@ func newServer(cfg config) (*server, error) {
 	if cfg.workers < 1 {
 		cfg.workers = 1
 	}
-	if cfg.queueDepth < 1 {
-		cfg.queueDepth = 64
-	}
 	if cfg.maxThreads < 1 {
 		cfg.maxThreads = 1
 	}
-	s := &server{
-		cfg:   cfg,
-		queue: jobs.New(cfg.workers, cfg.queueDepth, cfg.maxThreads),
-		reg:   metrics.NewRegistry(),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+	n, err := newNode(cfg.nodeConfig, cfg.maxThreads)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.jobHistory > 0 {
-		s.queue.SetHistoryLimit(cfg.jobHistory)
-	}
-	if cfg.tenantQuota > 0 {
-		s.queue.SetTenantLimit(cfg.tenantQuota)
-	}
-	if cfg.cacheDir != "" {
-		c, err := tunecache.Open(cfg.cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.fleetCache != "" {
-			// Fleet member: a local miss reads through to the coordinator's
-			// shared cache, and fresh local measurements are pushed up so
-			// re-placements of this problem land warm anywhere.
-			c.SetReplicator(fleet.NewHTTPReplicator(cfg.fleetCache, 0))
-		}
-		s.cache = c
+	s := &server{node: n}
+	if s.cache != nil && cfg.fleetCache != "" {
+		// Fleet member: a local miss reads through to the coordinator's
+		// shared cache, and fresh local measurements are pushed up so
+		// re-placements of this problem land warm anywhere.
+		s.cache.SetReplicator(fleet.NewHTTPReplicator(cfg.fleetCache, 0))
 	}
 	// Register the cache counters up front so a scrape before any tuning
 	// traffic still shows them at zero.
@@ -153,123 +123,24 @@ func newServer(cfg config) (*server, error) {
 	s.handle("POST /v1/conformance", s.handleConformance)
 	s.handle("POST /v1/model", s.handleModel)
 	s.handle("GET /v1/variants", s.handleVariants)
-	s.handle("GET /v1/jobs", s.handleJobList)
-	s.handle("GET /v1/jobs/{id}", s.handleJobGet)
-	s.handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.handle("POST /v1/cache/get", s.handleCacheGet)
-	s.handle("POST /v1/cache/put", s.handleCachePut)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /healthz", s.handleHealthz)
 	return s, nil
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// banner, drainBudget, and drain satisfy the service interface run uses
-// for its lifecycle.
+// banner is the peer's half of the service interface run uses; the node
+// supplies the rest.
 func (s *server) banner(addr net.Addr) string {
 	return fmt.Sprintf("stencilserved: listening on http://%s (workers=%d, thread budget=%d, cache=%s)",
-		addr, s.cfg.workers, s.cfg.maxThreads, s.cfg.cacheDir)
+		addr, s.workers, s.queue.Stats().ThreadCap, s.cacheDir)
 }
 
-func (s *server) drainBudget() time.Duration { return s.cfg.drainTimeout }
-
-func (s *server) drain(ctx context.Context) error { return s.queue.Drain(ctx) }
-
-// handle registers a route instrumented with a per-route latency
-// histogram and a per-route/status response counter. The route label is
-// the mux pattern, not the raw URL, so job IDs do not explode metric
-// cardinality.
-func (s *server) handle(pattern string, h http.HandlerFunc) {
-	route := metrics.Label{Key: "route", Value: pattern}
-	hist := s.reg.Histogram("stencilserved_request_seconds",
-		"request latency by route", nil, route)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		defer hist.ObserveSince(time.Now())
-		h(sw, r)
-		s.reg.Counter("stencilserved_responses_total", "responses by route and status",
-			route, metrics.Label{Key: "code", Value: fmt.Sprintf("%d", sw.code)}).Inc()
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// maxRequestBytes bounds request bodies: every legitimate request to
-// this API is well under a kilobyte of JSON, so a megabyte is generous,
-// and an unbounded body would let one client exhaust server memory.
-const maxRequestBytes = 1 << 20
-
-// decodeJSON decodes a request body strictly: the body is capped at
-// maxRequestBytes (an oversized body is a 400, reported by the caller)
-// and unknown fields are an error, because a misspelled tuning
-// parameter silently falling back to a default is exactly the failure
-// mode this service exists to avoid.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return err
-	}
-	return nil
-}
-
-// tenantHeader carries the requesting tenant through the coordinator to
-// the peers; an empty value is the anonymous tenant (never quota-bound).
-const tenantHeader = "X-Tenant"
-
-// submit queues fn under the request's tenant and answers 202 with the
-// job snapshot, mapping queue saturation to 503 (with Retry-After) and
-// a tenant over its quota to 429, so both global and per-tenant load
-// shedding are visible to clients.
+// submit admits fn as a job of the given kind and counts the accepted
+// ones per kind.
 func (s *server) submit(w http.ResponseWriter, r *http.Request, kind string, threads int, fn jobs.Func) {
-	tenant := r.Header.Get(tenantHeader)
-	snap, err := s.queue.SubmitTagged(kind, tenant, threads, s.cfg.jobTimeout, fn)
-	switch {
-	case err == jobs.ErrQueueFull:
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "job queue full")
-	case err == jobs.ErrDraining:
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-	case err == jobs.ErrTenantLimit:
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"tenant %q at its live-job quota (%d)", tenant, s.cfg.tenantQuota)
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, "%v", err)
-	default:
+	if s.admit(w, r, kind, threads, fn) {
 		s.reg.Counter("stencilserved_jobs_submitted_total", "jobs accepted by kind",
 			metrics.Label{Key: "kind", Value: kind}).Inc()
-		writeJSON(w, http.StatusAccepted, snap)
 	}
 }
 
@@ -357,8 +228,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Steps:      1,
 		Integrator: "rk4",
 	}
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.BoxN == 0 {
@@ -545,8 +415,7 @@ type autotuneResult struct {
 
 func (s *server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	req := autotuneRequest{NumBoxes: 1, Reps: 3}
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	p := stencilsched.Problem{BoxN: req.BoxN, NumBoxes: req.NumBoxes, Threads: req.Threads}
@@ -655,8 +524,7 @@ const maxConformCases = 100
 // surface on the job and as stencilserved_conform_* metrics.
 func (s *server) handleConformance(w http.ResponseWriter, r *http.Request) {
 	var req conformanceRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.BoxCases < 0 || req.BoxCases > maxConformCases {
@@ -719,8 +587,7 @@ type modelResult struct {
 
 func (s *server) handleModel(w http.ResponseWriter, r *http.Request) {
 	var req modelRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	m, err := stencilsched.MachineByName(req.Machine)
@@ -792,107 +659,12 @@ func (s *server) handleVariants(w http.ResponseWriter, r *http.Request) {
 	_ = t.JSON(w)
 }
 
-// ---- POST /v1/cache/{get,put} -------------------------------------------
-
-// handleCacheGet serves one tunecache entry by opaque key — the fleet
-// cache-replication read path. A standalone node also answers (its own
-// cache doubles as the authority), which is what lets any node be
-// promoted to coordinator without a data migration.
-func (s *server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		httpError(w, http.StatusServiceUnavailable, "no tunecache configured")
-		return
-	}
-	var req fleet.CacheGetRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if req.Key == "" {
-		httpError(w, http.StatusBadRequest, "empty cache key")
-		return
-	}
-	v, ok := s.cache.GetRaw(req.Key)
-	if ok {
-		s.reg.Counter("stencilserved_cache_repl_get_hits_total",
-			"replication reads answered from this node's cache").Inc()
-	} else {
-		s.reg.Counter("stencilserved_cache_repl_get_misses_total",
-			"replication reads this node could not answer").Inc()
-	}
-	writeJSON(w, http.StatusOK, fleet.CacheGetResponse{Found: ok, Value: v})
-}
-
-// handleCachePut stores one tunecache entry pushed by a peer that just
-// measured it. PutRaw deliberately does not re-replicate: an upstream
-// echo would bounce entries between coordinator and peers forever.
-func (s *server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		httpError(w, http.StatusServiceUnavailable, "no tunecache configured")
-		return
-	}
-	var req fleet.CachePutRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if req.Key == "" || len(req.Value) == 0 {
-		httpError(w, http.StatusBadRequest, "cache put needs both key and value")
-		return
-	}
-	if err := s.cache.PutRaw(req.Key, req.Value); err != nil {
-		httpError(w, http.StatusInternalServerError, "cache put: %v", err)
-		return
-	}
-	s.reg.Counter("stencilserved_cache_repl_puts_total",
-		"replication writes accepted by this node").Inc()
-	writeJSON(w, http.StatusOK, struct {
-		OK bool `json:"ok"`
-	}{true})
-}
-
-// ---- jobs, metrics, health ---------------------------------------------
-
-func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.queue.List())
-}
-
-func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.queue.Cancel(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
+// ---- metrics, health ---------------------------------------------------
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.queue.Stats()
-	for _, g := range []struct {
-		status string
-		n      int
-	}{
-		{"pending", st.Pending}, {"running", st.Running}, {"done", st.Done},
-		{"failed", st.Failed}, {"canceled", st.Canceled},
-	} {
-		s.reg.Gauge("stencilserved_jobs", "jobs by lifecycle status",
-			metrics.Label{Key: "status", Value: g.status}).Set(float64(g.n))
-	}
 	s.reg.Gauge("stencilserved_threads_in_use", "thread-budget tokens held by running jobs").Set(float64(st.ThreadsInUse))
 	s.reg.Gauge("stencilserved_thread_budget", "total thread-budget tokens").Set(float64(st.ThreadCap))
-	s.reg.Gauge("stencilserved_uptime_seconds", "seconds since start").Set(time.Since(s.start).Seconds())
-	if s.cache != nil {
-		s.reg.Gauge("stencilserved_tunecache_entries", "entry files in the tunecache").Set(float64(s.cache.Len()))
-	}
 	sc := scratch.Default.Stats()
 	s.reg.Gauge("stencilserved_scratch_arenas", "scratch arenas ever created by the pool").Set(float64(sc.Arenas))
 	s.reg.Gauge("stencilserved_scratch_arenas_in_use", "scratch arenas currently checked out").Set(float64(sc.InUse))
@@ -900,8 +672,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("stencilserved_scratch_checkout_hits", "arena checkouts served from the free list").Set(float64(sc.Hits))
 	s.reg.Gauge("stencilserved_scratch_checkout_misses", "arena checkouts that created a new arena").Set(float64(sc.Misses))
 	s.reg.Gauge("stencilserved_scratch_grows", "arena backing-store growths").Set(float64(sc.Grows))
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+	s.writeMetrics(w)
 }
 
 type healthResponse struct {

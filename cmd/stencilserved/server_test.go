@@ -247,7 +247,7 @@ func TestSolveRejectsOverDeepHalo(t *testing.T) {
 }
 
 func TestSolveCancellation(t *testing.T) {
-	_, ts := newTestServer(t, config{workers: 1})
+	_, ts := newTestServer(t, config{nodeConfig: nodeConfig{workers: 1}})
 	var snap jobs.Snapshot
 	code := doJSON(t, http.MethodPost, ts.URL+"/v1/solve", map[string]any{
 		"domain_n": 32, "box_n": 16, "steps": 1000000, "threads": 1,
@@ -262,17 +262,6 @@ func TestSolveCancellation(t *testing.T) {
 	got := awaitJob(t, ts.URL, snap.ID)
 	if got.Status != jobs.StatusCanceled {
 		t.Fatalf("status = %s, want canceled", got.Status)
-	}
-}
-
-func TestJobNotFound(t *testing.T) {
-	_, ts := newTestServer(t, config{})
-	var e errorResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/nope-1", nil, &e); code != http.StatusNotFound {
-		t.Fatalf("GET unknown job: %d, want 404", code)
-	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/nope-1", nil, &e); code != http.StatusNotFound {
-		t.Fatalf("DELETE unknown job: %d, want 404", code)
 	}
 }
 
@@ -351,7 +340,7 @@ func TestAutotuneValidation(t *testing.T) {
 }
 
 func TestQueueFullShedsLoad(t *testing.T) {
-	_, ts := newTestServer(t, config{workers: 1, queueDepth: 1})
+	_, ts := newTestServer(t, config{nodeConfig: nodeConfig{workers: 1, queueDepth: 1}})
 	body := map[string]any{"domain_n": 32, "box_n": 16, "steps": 1000000, "threads": 1}
 	codes := make(map[int]int)
 	var ids []string
@@ -388,8 +377,11 @@ func TestHealthz(t *testing.T) {
 // before run returns.
 func TestRunDrainsInFlightJobsOnShutdown(t *testing.T) {
 	s, err := newServer(config{
-		workers: 1, queueDepth: 8, maxThreads: 2,
-		cacheDir: t.TempDir(), drainTimeout: 10 * time.Second,
+		nodeConfig: nodeConfig{
+			workers: 1, queueDepth: 8,
+			cacheDir: t.TempDir(), drainTimeout: 10 * time.Second,
+		},
+		maxThreads: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,19 +62,12 @@ func run(boxN int, variantName string, threads int) {
 		exchange += time.Since(t0)
 
 		t1 := time.Now()
-		if v.Par == sched.OverBoxes {
-			states := make([]variants.State, l.NumBoxes())
-			for i := range states {
-				div[i].Fill(0)
-				states[i] = variants.State{Valid: l.Boxes[i], Phi0: ld.Fabs[i], Phi1: div[i]}
-			}
-			variants.ExecLevel(v, states, threads)
-		} else {
-			for i, b := range l.Boxes {
-				div[i].Fill(0)
-				variants.Exec(v, ld.Fabs[i], div[i], b, threads)
-			}
+		states := make([]variants.State, l.NumBoxes())
+		for i := range states {
+			div[i].Fill(0)
+			states[i] = variants.State{Valid: l.Boxes[i], Phi0: ld.Fabs[i], Phi1: div[i]}
 		}
+		variants.ExecLevel(v, states, threads)
 		// Conservative update keeps the run honest (data evolves).
 		ld.ForEachBox(threads, func(i int, valid box.Box, f *fab.FAB) {
 			f.Plus(div[i], valid, -0.05)

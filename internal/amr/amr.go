@@ -220,19 +220,12 @@ func (h *Hierarchy) fineValue(pf ivect.IntVect, c int) float64 {
 // computeDiv runs the flux kernel with the given variant on every box of a
 // level, producing the undivided flux difference sum_d (F_hi - F_lo).
 func computeDiv(ld *layout.LevelData, div []*fab.FAB, v sched.Variant, threads int) {
-	if v.Par == sched.OverBoxes {
-		states := make([]variants.State, len(div))
-		for i, b := range ld.Layout.Boxes {
-			div[i].Fill(0)
-			states[i] = variants.State{Valid: b, Phi0: ld.Fabs[i], Phi1: div[i]}
-		}
-		variants.ExecLevel(v, states, threads)
-		return
-	}
+	states := make([]variants.State, len(div))
 	for i, b := range ld.Layout.Boxes {
 		div[i].Fill(0)
-		variants.Exec(v, ld.Fabs[i], div[i], b, threads)
+		states[i] = variants.State{Valid: b, Phi0: ld.Fabs[i], Phi1: div[i]}
 	}
+	variants.ExecLevel(v, states, threads)
 }
 
 // Reflux corrects the coarse divergence at coarse-fine interfaces: the

@@ -195,13 +195,6 @@ func (f *FAB) Plus(src *FAB, r box.Box, s float64) {
 	}
 }
 
-// Scale multiplies every value by s.
-func (f *FAB) Scale(s float64) {
-	for i := range f.data {
-		f.data[i] *= s
-	}
-}
-
 // SumComp returns the sum of component c over r ∩ f.Box(). The conservation
 // tests rely on it: the finite-volume update telescopes, so the interior
 // fluxes cancel in this sum.

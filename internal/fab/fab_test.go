@@ -201,7 +201,7 @@ func TestCopyCompRanges(t *testing.T) {
 	}()
 }
 
-func TestPlusAndScale(t *testing.T) {
+func TestPlus(t *testing.T) {
 	a := New(box.Cube(3), 1)
 	b := New(box.Cube(3), 1)
 	a.Fill(1)
@@ -210,12 +210,6 @@ func TestPlusAndScale(t *testing.T) {
 	for _, v := range a.Data() {
 		if v != 2 {
 			t.Fatalf("Plus got %v", v)
-		}
-	}
-	a.Scale(3)
-	for _, v := range a.Data() {
-		if v != 6 {
-			t.Fatalf("Scale got %v", v)
 		}
 	}
 }

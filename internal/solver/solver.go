@@ -4,8 +4,8 @@
 // basic structure" loop of Section II: exchange ghosts, evaluate fluxes on
 // every box with a chosen inter-loop schedule, accumulate, advance.
 //
-// The operator is dU/dt = -div F(U) / dx with F from internal/kernel
-// (eq. 7: F_d = <phi_{d+1}> <phi>). With constant velocity components the
+// The operator is dU/dt = -div F(U) on the unit mesh, with F from
+// internal/kernel (eq. 7: F_d = <phi_{d+1}> <phi>). With constant velocity components the
 // system is linear advection, which the tests use to verify fourth-order
 // spatial convergence of the eq. 6 face averages end to end — through the
 // layout, the exchange, and whichever scheduling variant runs the flux
@@ -59,8 +59,6 @@ type Config struct {
 	Variant sched.Variant
 	// Integrator selects the time discretization (default Euler).
 	Integrator Integrator
-	// Dx is the mesh spacing (default 1).
-	Dx float64
 	// Dt is the time step; must be positive.
 	Dt float64
 	// Threads is the total thread count for exchanges and box loops.
@@ -75,6 +73,7 @@ type Solver struct {
 	// temporary state for multi-stage integrators.
 	stages [][]*fab.FAB // [stage][box]
 	tmp    *layout.LevelData
+	level  []variants.State // operator's per-box arguments, refilled per call
 	steps  int
 	time   float64
 }
@@ -95,16 +94,10 @@ func New(state *layout.LevelData, cfg Config) (*Solver, error) {
 	if cfg.Dt <= 0 {
 		return nil, fmt.Errorf("solver: dt %v must be positive", cfg.Dt)
 	}
-	if cfg.Dx == 0 {
-		cfg.Dx = 1
-	}
-	if cfg.Dx < 0 {
-		return nil, fmt.Errorf("solver: dx %v must be positive", cfg.Dx)
-	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
-	s := &Solver{cfg: cfg, state: state}
+	s := &Solver{cfg: cfg, state: state, level: make([]variants.State, state.Layout.NumBoxes())}
 	nStages := map[Integrator]int{Euler: 1, RK2: 2, RK4: 4}[cfg.Integrator]
 	if nStages == 0 {
 		return nil, fmt.Errorf("solver: unknown integrator %v", cfg.Integrator)
@@ -131,27 +124,17 @@ func (s *Solver) Time() float64 { return s.time }
 // Steps returns the number of completed steps.
 func (s *Solver) Steps() int { return s.steps }
 
-// operator computes k = -div F(U)/dx for every box of src into dst,
-// exchanging ghosts first.
+// operator computes the raw divergence k = div F(U) for every box of src
+// into dst, exchanging ghosts first. The update's minus sign rides on the
+// coefficient Step applies k with, which costs no pass over k and is
+// exact.
 func (s *Solver) operator(dst []*fab.FAB, src *layout.LevelData) {
 	src.Exchange(s.cfg.Threads)
-	scale := -1.0 / s.cfg.Dx
-	if s.cfg.Variant.Par == sched.OverBoxes {
-		states := make([]variants.State, len(dst))
-		for i, b := range src.Layout.Boxes {
-			dst[i].Fill(0)
-			states[i] = variants.State{Valid: b, Phi0: src.Fabs[i], Phi1: dst[i]}
-		}
-		variants.ExecLevel(s.cfg.Variant, states, s.cfg.Threads)
-	} else {
-		for i, b := range src.Layout.Boxes {
-			dst[i].Fill(0)
-			variants.Exec(s.cfg.Variant, src.Fabs[i], dst[i], b, s.cfg.Threads)
-		}
+	for i, b := range src.Layout.Boxes {
+		dst[i].Fill(0)
+		s.level[i] = variants.State{Valid: b, Phi0: src.Fabs[i], Phi1: dst[i]}
 	}
-	for _, f := range dst {
-		f.Scale(scale)
-	}
+	variants.ExecLevel(s.cfg.Variant, s.level, s.cfg.Threads)
 }
 
 // axpyState sets tmp = state + a*k on valid regions.
@@ -169,31 +152,31 @@ func (s *Solver) Step() {
 	case Euler:
 		s.operator(s.stages[0], s.state)
 		for i, b := range s.state.Layout.Boxes {
-			s.state.Fabs[i].Plus(s.stages[0][i], b, dt)
+			s.state.Fabs[i].Plus(s.stages[0][i], b, -dt)
 		}
 	case RK2:
 		k1, k2 := s.stages[0], s.stages[1]
 		s.operator(k1, s.state)
-		s.axpyState(dt/2, k1)
+		s.axpyState(-dt/2, k1)
 		s.operator(k2, s.tmp)
 		for i, b := range s.state.Layout.Boxes {
-			s.state.Fabs[i].Plus(k2[i], b, dt)
+			s.state.Fabs[i].Plus(k2[i], b, -dt)
 		}
 	case RK4:
 		k1, k2, k3, k4 := s.stages[0], s.stages[1], s.stages[2], s.stages[3]
 		s.operator(k1, s.state)
-		s.axpyState(dt/2, k1)
+		s.axpyState(-dt/2, k1)
 		s.operator(k2, s.tmp)
-		s.axpyState(dt/2, k2)
+		s.axpyState(-dt/2, k2)
 		s.operator(k3, s.tmp)
-		s.axpyState(dt, k3)
+		s.axpyState(-dt, k3)
 		s.operator(k4, s.tmp)
 		for i, b := range s.state.Layout.Boxes {
 			f := s.state.Fabs[i]
-			f.Plus(k1[i], b, dt/6)
-			f.Plus(k2[i], b, dt/3)
-			f.Plus(k3[i], b, dt/3)
-			f.Plus(k4[i], b, dt/6)
+			f.Plus(k1[i], b, -dt/6)
+			f.Plus(k2[i], b, -dt/3)
+			f.Plus(k3[i], b, -dt/3)
+			f.Plus(k4[i], b, -dt/6)
 		}
 	}
 	s.steps++

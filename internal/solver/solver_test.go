@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"stencilsched/internal/box"
+	"stencilsched/internal/fab"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/layout"
@@ -158,5 +160,52 @@ func TestScheduleIndependenceThroughTimeIntegration(t *testing.T) {
 func TestIntegratorString(t *testing.T) {
 	if Euler.String() != "Euler" || RK2.String() != "RK2" || RK4.String() != "RK4" {
 		t.Error("integrator names wrong")
+	}
+}
+
+// TestEulerStepIsStateMinusDtTimesReferenceDivergence pins the sign and
+// size of the update coefficient: one Euler step on a two-box periodic
+// level equals state + (-dt) * (reference divergence) bitwise, for a
+// series and a fused schedule at both granularities.
+func TestEulerStepIsStateMinusDtTimesReferenceDivergence(t *testing.T) {
+	const dt = 0.125
+	l, err := layout.Decompose(box.NewSized(ivect.Zero, ivect.New(16, 8, 8)), 8, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.NumBoxes() != 2 {
+		t.Fatalf("layout has %d boxes, want 2", l.NumBoxes())
+	}
+	fill := func(p ivect.IntVect, c int) float64 {
+		return 1 + 0.1*float64(c) + 0.2*math.Sin(0.4*float64(p[0])+0.3*float64(c))*math.Cos(0.7*float64(p[1])-0.5*float64(p[2]))
+	}
+	want := layout.NewLevelData(l, kernel.NComp, kernel.NGhost)
+	want.FillFromFunction(2, fill)
+	want.Exchange(2)
+	for i, b := range l.Boxes {
+		div := fab.New(b, kernel.NComp)
+		kernel.Reference(want.Fabs[i], div, b)
+		if div.MaxNorm(b) == 0 {
+			t.Fatalf("box %d: reference divergence is zero, the step would prove nothing", i)
+		}
+		want.Fabs[i].Plus(div, b, -dt)
+	}
+	for _, name := range []string{"Baseline: P>=Box", "Baseline: P<Box", "Shift-Fuse: P>=Box", "Shift-Fuse: P<Box"} {
+		v, err := sched.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ld := layout.NewLevelData(l, kernel.NComp, kernel.NGhost)
+		ld.FillFromFunction(2, fill)
+		s, err := New(ld, Config{Variant: v, Integrator: Euler, Dt: dt, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Step()
+		for i, b := range l.Boxes {
+			if d, at, c := ld.Fabs[i].MaxDiff(want.Fabs[i], b); d != 0 {
+				t.Errorf("%s: box %d differs from state - dt*div at %v comp %d by %g", name, i, at, c, d)
+			}
+		}
 	}
 }

@@ -56,13 +56,8 @@ func ExecHierarchicalOT(phi0, phi1 *fab.FAB, valid box.Box, outer, inner ivect.I
 		ot := outerDec.Tiles[i].Cells
 		innerDec := tiling.DecomposeVect(ot, inner)
 		evals[i] = innerDec.OverlapStats().EvaluatedFaces
-		tar := ars[tid]
 		for _, it := range innerDec.Tiles {
-			// Inner tiles are independent: reset the arena so the retained
-			// peak is one inner tile's velocity field plus carried caches.
-			tar.Reset()
-			f := newFusedSweep(s, velocityField(s, it.Cells, 1, tar), it.Cells, 1, false, tar)
-			f.runAllComps(it.Cells)
+			fusedTile(s, it.Cells, ars[tid])
 		}
 	})
 	for _, e := range evals {

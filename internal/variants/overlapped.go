@@ -1,6 +1,7 @@
 package variants
 
 import (
+	"stencilsched/internal/box"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/parallel"
@@ -78,22 +79,25 @@ func execOverlapped(s *state, intra sched.IntraTile, shape ivect.IntVect, thread
 		return stats
 	}
 
-	// Fused intra-tile schedule: per-tile velocity recomputation plus the
-	// fused sweep with carried scalar/row/plane caches seeded at the tile
-	// surface. The caches carry nothing across tiles or components (every
-	// pass seeds them at the tile boundary), so the arena reset per tile
-	// is safe.
 	parallel.Dynamic(threads, dec.NumTiles(), 1, func(tid, i int) {
-		tar := ars[tid]
-		tar.Reset()
-		tile := dec.Tiles[i].Cells
-		// One component in flight: the studied OT variants are CLO (the
-		// paper dropped CLI inside tiles after untiled CLI proved
-		// uniformly slower).
-		f := newFusedSweep(s, velocityField(s, tile, 1, tar), tile, 1, false, tar)
-		f.runAllComps(tile)
+		fusedTile(s, dec.Tiles[i].Cells, ars[tid])
 	})
 	stats.TempFluxBytes = int64(1+shape[0]+shape[0]*shape[1]) * 8 * p
 	stats.TempVelBytes = tileFaceSum * 8 * p
 	return stats
+}
+
+// fusedTile runs the fused intra-tile schedule on one tile: per-tile
+// velocity recomputation plus the fused sweep with carried scalar/row/
+// plane caches seeded at the tile surface. The caches carry nothing
+// across tiles or components (every pass seeds them at the tile
+// boundary), so resetting the worker's arena per tile is safe and keeps
+// the retained peak at one tile's velocity field plus carried caches.
+func fusedTile(s *state, tile box.Box, tar *scratch.Arena) {
+	tar.Reset()
+	// One component in flight: the studied OT variants are CLO (the
+	// paper dropped CLI inside tiles after untiled CLI proved
+	// uniformly slower).
+	f := newFusedSweep(s, velocityField(s, tile, 1, tar), tile, 1, false, tar)
+	f.runAllComps(tile)
 }

@@ -255,60 +255,32 @@ func execSeriesNoVelTemp(s *state, threads int, ar *scratch.Arena) Stats {
 			ph := s.comp0(c)
 			out := flux.Comp(c)
 			parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-				for zi := zlo; zi < zhi; zi++ {
-					for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-						src := s.off0(ivect.New(faces.Lo[0], y, faces.Lo[2]+zi))
-						dst := (y-faces.Lo[1])*fy + zi*fz
-						for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-							out[dst+x] = kernel.FaceAvg(ph, src+x, sd)
-						}
-					}
-				}
+				seriesFaceAvgSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
 			})
 		}
 
 		// Pass 2: scale components against the in-place velocity component,
 		// the velocity component itself last; accumulate after scaling.
 		vel := flux.Comp(vc)
-		var orderArr [kernel.NComp]int
-		order := orderArr[:0]
-		for c := 0; c < kernel.NComp; c++ {
-			if c != vc {
-				order = append(order, c)
-			}
-		}
-		order = append(order, vc)
 		scale := func(c int) {
 			out := flux.Comp(c)
 			parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-				for zi := zlo; zi < zhi; zi++ {
-					for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-						off := (y-faces.Lo[1])*fy + zi*fz
-						for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-							out[off+x] = kernel.Flux2(vel[off+x], out[off+x])
-						}
-					}
-				}
+				seriesScaleSlabs(out, vel, faces, fy, fz, zlo, zhi)
 			})
 		}
-		for _, c := range order {
-			scale(c)
+		for c := 0; c < kernel.NComp; c++ {
+			if c != vc {
+				scale(c)
+			}
 		}
+		scale(vc)
 		cells := s.valid
 		fdir := fluxDirStride(dir, fy, fz)
 		for c := 0; c < kernel.NComp; c++ {
 			dst := s.comp1(c)
 			fd := flux.Comp(c)
 			parallel.ForChunked(threads, cells.Size()[2], func(_, zlo, zhi int) {
-				for zi := zlo; zi < zhi; zi++ {
-					for y := cells.Lo[1]; y <= cells.Hi[1]; y++ {
-						fOff := (y-cells.Lo[1])*fy + (zi+cells.Lo[2]-faces.Lo[2])*fz
-						pOff := s.off1(ivect.New(cells.Lo[0], y, cells.Lo[2]+zi))
-						for x := 0; x <= cells.Hi[0]-cells.Lo[0]; x++ {
-							dst[pOff+x] += fd[fOff+x+fdir] - fd[fOff+x]
-						}
-					}
-				}
+				seriesAccumSlabs(s, dst, fd, cells, faces, fy, fz, fdir, zlo, zhi)
 			})
 		}
 	}
