@@ -1,11 +1,15 @@
 package kernel
 
-// This file holds the row kernels of the shifted-and-fused schedules: the
-// body of one x-row of cells with all three direction fluxes fused and the
-// low-face fluxes carried instead of stored. They are the single
-// definition behind the hand-written fused family (internal/variants), the
-// schedc row statements (internal/variants/generated) and the interpreter's
-// cell-by-cell execution of those statements (internal/codegen, rows of
+// This file holds the row kernels: the body of one x-row of cells or faces,
+// the unit every schedule's innermost loop is made of. The fused forms
+// (SeedRow, FusedRow, EulerRow, EulerDeltaRow) are one row of the
+// shifted-and-fused schedules, all three direction fluxes fused and the
+// low-face fluxes carried instead of stored; the series forms (FaceAvgRow,
+// Flux2Row, DiffAccRow) are one row of a pass of the series of loops. They
+// are the single definition behind the hand-written families
+// (internal/variants), the schedc row statements and lowered point
+// statements (internal/variants/generated) and the interpreter's
+// cell-by-cell execution of the row statements (internal/codegen, rows of
 // length one).
 //
 // Shared conventions: the row is the n consecutive cells in x whose first
@@ -16,7 +20,53 @@ package kernel
 // plane of the fused sweep; fxlo is the flux at the row's low x face and
 // the result is the flux at its high x face — the carried scalar. Per cell
 // the expressions and the x, y, z accumulation order are Reference's, so
-// the bits are too.
+// the bits are too. A row that is written must not overlap a row that is
+// read, except where a form says it works in place.
+//
+// The Go loop of each function is its definition. On amd64 with AVX2 (and
+// without the purego build tag) the first n&^3 cells of a row with
+// positive strides run in row_amd64.s, four cells per instruction, and the
+// loop finishes the rest; every other row and platform runs the loop
+// alone. The assembly evaluates the loop's expression tree per lane with
+// separately rounded multiplies and adds (no FMA, no reassociation), so
+// which body ran cannot be told from the bits; TestRowKernelsAsmMatchesGo
+// holds it to that. Before handing a row over, a function checks the lowest
+// and highest source offsets the vector body reads — the same cells the
+// loop would read — so an out-of-range row panics in Go as it always did,
+// before anything is written.
+
+// vecCells is how many leading cells of an n-cell row go to the vector
+// body: whole vectors of four, and none without AVX2.
+func vecCells(n int) int {
+	if !useAVX2 {
+		return 0
+	}
+	return n &^ 3
+}
+
+// stencilVecCells is vecCells for a row that reads ph around offsets o0,
+// o0+1, ... with positive stride s: the row's cells read down to o0-below*s
+// and, the last of them, up to above*s beyond itself. Zero unless s is
+// positive; otherwise it panics as an out-of-range index does unless the
+// two extreme offsets the vector body reads exist.
+func stencilVecCells(ph []float64, o0, n, s, below, above int) int {
+	n4 := vecCells(n)
+	if n4 == 0 || s <= 0 {
+		return 0
+	}
+	_, _ = ph[o0-below*s], ph[o0+n4-1+above*s]
+	return n4
+}
+
+// fusedVecCells is stencilVecCells for the fused forms, which read the
+// high faces in x, y and z: one stride below the row and two above, in the
+// widest of the three directions.
+func fusedVecCells(ph []float64, o0, n, sy, sz int) int {
+	if sy <= 0 || sz <= 0 {
+		return 0
+	}
+	return stencilVecCells(ph, o0, n, max(1, sy, sz), 1, 2)
+}
 
 // SeedRow recomputes a row of low-face fluxes in the direction whose source
 // stride is sd: out[i] is the flux at the low face of the cell at offset
@@ -25,7 +75,12 @@ package kernel
 // value (the "shift" of shift-and-fuse).
 func SeedRow(out, vel, ph []float64, o0, sd int) {
 	vel = vel[:len(out)]
-	for i := range out {
+	i := 0
+	if n4 := stencilVecCells(ph, o0, len(out), sd, 2, 1); n4 > 0 {
+		seedRowAVX2(&out[0], &vel[0], &ph[o0], n4, sd, C1, C2)
+		i = n4
+	}
+	for ; i < len(out); i++ {
 		out[i] = Flux2(vel[i], FaceAvg(ph, o0+i, sd))
 	}
 }
@@ -35,7 +90,12 @@ func SeedRow(out, vel, ph []float64, o0, sd int) {
 func FusedRow(dst, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
 	n := len(dst)
 	vx, vy, vz, fy, fz = vx[:n], vy[:n], vz[:n], fy[:n], fz[:n]
-	for i := range dst {
+	i := 0
+	if n4 := fusedVecCells(ph, o0, n, sy, sz); n4 > 0 {
+		fxlo = fusedRowAVX2(&dst[0], &ph[o0], n4, sy, sz, &vx[0], &vy[0], &vz[0], &fy[0], &fz[0], fxlo, C1, C2)
+		i = n4
+	}
+	for ; i < n; i++ {
 		o := o0 + i
 		fxhi := Flux2(vx[i], FaceAvg(ph, o+1, 1))
 		fyhi := Flux2(vy[i], FaceAvg(ph, o+sy, sy))
@@ -58,7 +118,12 @@ func FusedRow(dst, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, f
 func EulerRow(next, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, fxlo, ndt float64) float64 {
 	n := len(next)
 	vx, vy, vz, fy, fz = vx[:n], vy[:n], vz[:n], fy[:n], fz[:n]
-	for i := range next {
+	i := 0
+	if n4 := fusedVecCells(ph, o0, n, sy, sz); n4 > 0 {
+		fxlo = eulerRowAVX2(&next[0], &ph[o0], n4, sy, sz, &vx[0], &vy[0], &vz[0], &fy[0], &fz[0], fxlo, ndt, C1, C2)
+		i = n4
+	}
+	for ; i < n; i++ {
 		o := o0 + i
 		fxhi := Flux2(vx[i], FaceAvg(ph, o+1, 1))
 		fyhi := Flux2(vy[i], FaceAvg(ph, o+sy, sy))
@@ -81,7 +146,12 @@ func EulerRow(next, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, 
 func EulerDeltaRow(dst, base, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz []float64, fxlo, ndt float64) float64 {
 	n := len(dst)
 	base, vx, vy, vz, fy, fz = base[:n], vx[:n], vy[:n], vz[:n], fy[:n], fz[:n]
-	for i := range dst {
+	i := 0
+	if n4 := fusedVecCells(ph, o0, n, sy, sz); n4 > 0 {
+		fxlo = eulerDeltaRowAVX2(&dst[0], &base[0], &ph[o0], n4, sy, sz, &vx[0], &vy[0], &vz[0], &fy[0], &fz[0], fxlo, ndt, C1, C2)
+		i = n4
+	}
+	for ; i < n; i++ {
 		o := o0 + i
 		fxhi := Flux2(vx[i], FaceAvg(ph, o+1, 1))
 		fyhi := Flux2(vy[i], FaceAvg(ph, o+sy, sy))
@@ -94,4 +164,50 @@ func EulerDeltaRow(dst, base, ph []float64, o0, sy, sz int, vx, vy, vz, fy, fz [
 		fxlo, fy[i], fz[i] = fxhi, fyhi, fzhi
 	}
 	return fxlo
+}
+
+// FaceAvgRow is a row of the series schedule's first pass (EvalFlux1) and
+// of the fused schedules' velocity pre-pass: out[i] is the face average at
+// the low face, in the direction whose source stride is s, of the cell at
+// offset o0+i.
+func FaceAvgRow(out, ph []float64, o0, s int) {
+	i := 0
+	if n4 := stencilVecCells(ph, o0, len(out), s, 2, 1); n4 > 0 {
+		faceAvgRowAVX2(&out[0], &ph[o0], n4, s, C1, C2)
+		i = n4
+	}
+	for ; i < len(out); i++ {
+		out[i] = FaceAvg(ph, o0+i, s)
+	}
+}
+
+// Flux2Row is a row of the flux product (EvalFlux2), in place: out[i]
+// holds the face average on entry and the flux vel[i]*out[i] on return.
+// vel may be out itself (the velocity component scaling itself).
+func Flux2Row(out, vel []float64) {
+	vel = vel[:len(out)]
+	i := 0
+	if n4 := vecCells(len(out)); n4 > 0 {
+		flux2RowAVX2(&out[0], &vel[0], n4)
+		i = n4
+	}
+	for ; i < len(out); i++ {
+		out[i] = Flux2(vel[i], out[i])
+	}
+}
+
+// DiffAccRow is a row of the series schedule's accumulation: dst[i] +=
+// hi[i] - lo[i], with hi and lo the fluxes at each cell's high and low
+// face (two rows of one flux array, which may overlap each other).
+func DiffAccRow(dst, hi, lo []float64) {
+	n := len(dst)
+	hi, lo = hi[:n], lo[:n]
+	i := 0
+	if n4 := vecCells(n); n4 > 0 {
+		diffAccRowAVX2(&dst[0], &hi[0], &lo[0], n4)
+		i = n4
+	}
+	for ; i < n; i++ {
+		dst[i] += hi[i] - lo[i]
+	}
 }

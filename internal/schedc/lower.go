@@ -166,12 +166,12 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 		}
 		var row *loweredStmt
 		if level == nvars-1 {
-			row = rowMember(p.members)
+			row = e.rowMember(p.members)
 		}
 		switch {
 		case row != nil:
-			// A row statement: its kernel call stands where the x loop
-			// would, in a block of its own for the row's locals.
+			// One row-kernel call stands where the x loop would, in a
+			// block of its own for the row's locals.
 			e.printf("%s{\n", bind)
 			e.emitRow(row, lo, hi, bind+"\t")
 			e.printf("%s}\n", bind)
@@ -282,11 +282,15 @@ func (e *emitter) emitBody(ls *loweredStmt, ind string) {
 	e.emitMacro(ls, ind)
 }
 
-// rowMember returns the row statement of a group emitted at the
-// innermost level, nil when the group is ordinary per-point
-// statements. A row statement owns its whole x range, so it cannot share
-// that level with another statement.
-func rowMember(members []*loweredStmt) *loweredStmt {
+// rowMember returns the statement of a group at the innermost level whose
+// x loop is emitted as one row-kernel call, nil when the group keeps its
+// per-point loop. That is a row statement — it owns its whole x range, so
+// it cannot share the level with another statement — or a point statement
+// that is alone at the level, unshifted along x, unguarded (a lone
+// member's outer guards are all hoisted by now) and whose buffers store x
+// rows contiguously: its x loop is exactly a series row form of
+// internal/kernel.
+func (e *emitter) rowMember(members []*loweredStmt) *loweredStmt {
 	for _, ls := range members {
 		if isRowMacro(ls.st.Macro) {
 			if len(members) > 1 {
@@ -296,5 +300,14 @@ func rowMember(members []*loweredStmt) *loweredStmt {
 			return ls
 		}
 	}
-	return nil
+	ls := members[0]
+	if len(members) > 1 || ls.shifts[len(ls.shifts)-1] != 0 || len(ls.guards) > 0 {
+		return nil
+	}
+	for _, name := range ls.st.Bufs {
+		if bi, ok := e.bufs[name]; ok && !bi.rowsAlongX() {
+			return nil
+		}
+	}
+	return ls
 }

@@ -73,6 +73,21 @@ type bufInfo struct {
 	innerS     string // ring stride of the second inner axis
 }
 
+// rowsAlongX reports whether consecutive x coordinates are consecutive
+// elements of the buffer: every full array, and a ring that stores the x
+// axis per slot (not a ring along x itself, which stores a parity).
+func (bi *bufInfo) rowsAlongX() bool {
+	if bi.d.Kind == "full" {
+		return true
+	}
+	for _, a := range bi.d.Inner {
+		if a == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // extentExpr renders the index-space extent of axis a: the box extent
 // plus one on the buffer's face direction.
 func (bi *bufInfo) extentExpr(a int, hi [3]string) string {
@@ -281,12 +296,14 @@ func (e *emitter) operand(name string, c int) operand {
 }
 
 // faceAvgExpr is the textual expansion of kernel.FaceAvg(ph, off, s):
-// the fourth-order face average as one expression over kernel.C1/C2.
-// Expanded inline instead of emitted as a call because the large runner
-// functions exceed the inliner's big-caller threshold, where only calls
-// cheaper than FaceAvg are inlined — a real call per face costs the
-// series family ~30%. The expression tree is identical to the kernel's,
-// and the conformance suite pins bit-exactness against kernel.Reference.
+// the fourth-order face average as one expression over kernel.C1/C2, for
+// the point statements that keep their x loop — those fused with others at
+// the x level, which is the x program of CodeGen row-fused alone (every
+// other face average is a kernel.FaceAvgRow call, see rowMember). Expanded
+// inline instead of emitted as a call because the runner exceeds the
+// inliner's big-caller threshold, where only calls cheaper than FaceAvg
+// are inlined. The expression tree is identical to the kernel's, and the
+// conformance suite pins bit-exactness against kernel.Reference.
 func faceAvgExpr(ph, off, s string) string {
 	lo, lo2, hi := off+"-"+s, off+"-2*"+s, off+"+"+s
 	if s == "1" {
@@ -331,10 +348,11 @@ func (e *emitter) buf(st *codegen.StmtDesc, i int) *bufInfo {
 	return bi
 }
 
-// emitMacro expands one statement instance. Every macro writes exactly
-// the expressions of the interpreted Whats (the faceAvgExpr expansion of
-// kernel.FaceAvg, kernel.Flux2, x-y-z accumulation order), so the
-// generated code is bit-identical to kernel.Reference.
+// emitMacro expands one instance of a point statement inside its x loop
+// (emitRow lowers the statements that need no x loop). Every macro writes
+// exactly the expressions of the interpreted Whats (the faceAvgExpr
+// expansion of kernel.FaceAvg, kernel.Flux2, x-y-z accumulation order), so
+// the generated code is bit-identical to kernel.Reference.
 func (e *emitter) emitMacro(ls *loweredStmt, ind string) {
 	st := ls.st
 	ax := e.axes(ls)
@@ -394,18 +412,16 @@ func isRowMacro(name string) bool {
 	return false
 }
 
-// emitRow lowers a row statement at the innermost level: no x loop is
-// emitted — the projected x bounds [lo, hi] become the length and first
-// offset of one row-kernel call. Bufs are the source state, the three
-// velocity fields, the three carried low-face flux rings (x: a register
-// of the kernel, y: a row, z: a plane) and, for "roweuler", the
-// destination state. A row on the low y or z face of the statement's
-// region has no predecessor to carry from, so its ring row is seeded by
-// kernel.SeedRow first; the low x face is seeded in the call.
+// emitRow lowers the statement rowMember chose at the innermost level: no
+// x loop is emitted — the projected x bounds [lo, hi] become the length
+// and first offsets of one call. A point statement becomes the series row
+// form that is its x loop (kernel.FaceAvgRow, copy, kernel.Flux2Row,
+// kernel.DiffAccRow over the same index expressions emitMacro would
+// evaluate per point); a row statement becomes its fused row kernel
+// (emitFusedRow).
 func (e *emitter) emitRow(ls *loweredStmt, lo, hi, ind string) {
 	st := ls.st
-	nvars := len(e.prog.Vars)
-	if ls.shifts[nvars-1] != 0 {
+	if ls.shifts[len(ls.shifts)-1] != 0 {
 		panic(fmt.Sprintf("schedc: row statement %s is shifted along its row", st.Name))
 	}
 	if len(ls.guards) > 0 {
@@ -413,10 +429,50 @@ func (e *emitter) emitRow(ls *loweredStmt, lo, hi, ind string) {
 	}
 	ax := e.axes(ls)
 	ax[0] = "xLo"
-	c := st.Comp
-	src := e.operand(st.Bufs[0], c)
+	d := st.Dir
+	buf := func(i int) *bufInfo { return e.buf(st, i) }
 	e.printf("%sxLo := %s\n", ind, lo)
 	e.printf("%sn := %s - xLo + 1\n", ind, hi)
+	switch st.Macro {
+	case "flux1", "sflux1":
+		from, to := codegen.Phi0, 0
+		if st.Macro == "sflux1" {
+			from, to = st.Bufs[0], 1
+		}
+		src, f := e.operand(from, st.Comp), buf(to)
+		e.printf("%ssi, fi := %s, %s\n", ind, src.off(ax), e.index(f, ax, st.Comp))
+		e.printf("%skernel.FaceAvgRow(%s[fi:fi+n], %s, si, %s)\n", ind, f.d.Name, src.slice, src.dirStride(d))
+	case "vel":
+		f, v := buf(0), buf(1)
+		e.printf("%svi, fi := %s, %s\n", ind, e.index(v, ax, 0), e.index(f, ax, kernel.VelComp(d)))
+		e.printf("%scopy(%s[vi:vi+n], %s[fi:fi+n])\n", ind, v.d.Name, f.d.Name)
+	case "flux2":
+		v, f := buf(0), buf(1)
+		e.printf("%sfi := %s\n", ind, e.index(f, ax, st.Comp))
+		e.printf("%skernel.Flux2Row(%s[fi:fi+n], %s[%s:])\n", ind, f.d.Name, v.d.Name, e.index(v, ax, 0))
+	case "acc":
+		f := buf(0)
+		e.printf("%so1 := %s\n", ind, e.off1(ax))
+		e.printf("%skernel.DiffAccRow(p1_%d[o1:o1+n], %s[%s:], %s[%s:])\n",
+			ind, st.Comp, f.d.Name, e.index(f, shiftAxis(ax, d, 1), st.Comp), f.d.Name, e.index(f, ax, st.Comp))
+	case "rowacc", "roweuler", "rowdelta":
+		e.emitFusedRow(ls, ax, ind)
+	default:
+		panic(fmt.Sprintf("schedc: unknown macro %q", st.Macro))
+	}
+}
+
+// emitFusedRow emits the kernel call of a row statement, after emitRow's
+// xLo and n. Bufs are the source state, the three velocity fields, the
+// three carried low-face flux rings (x: a register of the kernel, y: a
+// row, z: a plane) and, for "roweuler", the destination state. A row on
+// the low y or z face of the statement's region has no predecessor to
+// carry from, so its ring row is seeded by kernel.SeedRow first; the low x
+// face is seeded in the call.
+func (e *emitter) emitFusedRow(ls *loweredStmt, ax [3]string, ind string) {
+	st := ls.st
+	c := st.Comp
+	src := e.operand(st.Bufs[0], c)
 	e.printf("%so := %s\n", ind, src.off(ax))
 	var vel [3]*bufInfo
 	for d := 0; d < 3; d++ {

@@ -30,11 +30,19 @@
 //     of the shared row kernel in internal/kernel with the projected x
 //     bounds as its row length and first offsets (emitRow). The fused
 //     families lower this way: the emitted code is the loop structure,
-//     the arithmetic exists once.
+//     the arithmetic exists once;
+//  6. a point statement that is alone at the x level, unshifted along x
+//     and unguarded lowers the same way (rowMember): its x loop is a
+//     series row form of internal/kernel (FaceAvgRow, copy, Flux2Row,
+//     DiffAccRow), called once per row. Every pass of the series family
+//     and every velocity pre-pass is such a statement; only statements
+//     fused with others at the x level keep the per-point expansion of
+//     step 4.
 //
 // The emitted code depends only on the same packages the hand-written
 // variants use (fab, box, kernel, scratch) and evaluates every flux as
-// kernel.FaceAvg/kernel.Flux2 do, with the per-cell x, y, z
+// kernel.FaceAvg/kernel.Flux2 do — through the row kernels, whose vector
+// bodies are bit-identical to their Go loops — with the per-cell x, y, z
 // accumulation order, so generated runners are bit-identical to
 // kernel.Reference — the same conformance contract every hand-written
 // family satisfies.

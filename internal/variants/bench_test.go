@@ -12,7 +12,13 @@ import (
 
 // BenchmarkFused48 is the layer number behind the benchmark's
 // large_box_sweep: one 48^3 box (beyond L2) on one thread, the baseline
-// beside every fused family, in ns per cell (all five components).
+// beside every fused family, in ns per cell (all five components). The
+// rows are internal/kernel's; run it with and without the purego tag to
+// put the vector bodies beside the Go loops (BenchmarkRowKernels there is
+// the same comparison one row form at a time):
+//
+//	go test -run '^$' -bench Fused48 -benchtime 10x -cpu 1 ./internal/variants
+//	go test -run '^$' -bench Fused48 -benchtime 10x -cpu 1 -tags purego ./internal/variants
 func BenchmarkFused48(b *testing.B) {
 	const n = 48
 	valid := box.Cube(n)
@@ -43,7 +49,8 @@ func BenchmarkFused48(b *testing.B) {
 // BenchmarkTemporal48 is BenchmarkFused48 for the compiled schedules: the
 // generated temporal grid (K Euler steps per sweep) and the two spatial
 // runners the temporal sub-step is built from, on one
-// 48^3 box and one thread, in ns per cell per Euler step.
+// 48^3 box and one thread, in ns per cell per Euler step. -tags purego
+// selects the Go loops here too (-bench Temporal48 -benchtime 5x).
 func BenchmarkTemporal48(b *testing.B) {
 	const n = 48
 	valid := box.Cube(n)

@@ -57,9 +57,11 @@ func TestGeneratedPackageVetClean(t *testing.T) {
 	}
 }
 
-// genLines is the line budget of the emitted files: ROADMAP's target for
-// this package, which row statements brought it under (18 084 before).
-const genLines = 8000
+// genLines is the line budget of the emitted files: what they take now
+// that every statement alone at the x level is one row call (5 321 lines;
+// 6 103 with the series passes expanded per point, 18 084 before row
+// statements) plus a tenth.
+const genLines = 5850
 
 // TestGeneratedLineBudget keeps the emitted code from creeping back up:
 // a schedule whose lowering needs more lines than this should share a row

@@ -50,10 +50,10 @@ func execSeries(s *state, comp sched.CompLoop, threads int, ar *scratch.Arena) S
 				ph := s.comp0(c)
 				out := flux.Comp(c)
 				if threads == 1 {
-					seriesFaceAvgSlabs(s, out, ph, faces, fy, fz, sd, 0, nzF)
+					faceAvgSlabs(s, out, ph, faces, fy, fz, sd, 0, nzF)
 				} else {
 					parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-						seriesFaceAvgSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
+						faceAvgSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
 					})
 				}
 			}
@@ -118,21 +118,24 @@ func execSeries(s *state, comp sched.CompLoop, threads int, ar *scratch.Arena) S
 	return stats
 }
 
-// seriesFaceAvgSlabs computes one component's face averages (EvalFlux1)
-// into out for z slabs [zlo, zhi) of faces.
-func seriesFaceAvgSlabs(s *state, out, ph []float64, faces box.Box, fy, fz, sd, zlo, zhi int) {
+// faceAvgSlabs computes one component's face averages into out, an array
+// over faces with y and z strides fy and fz, for z slabs [zlo, zhi) of
+// faces: the series schedule's EvalFlux1 pass and the fused schedules'
+// velocity pre-pass.
+func faceAvgSlabs(s *state, out, ph []float64, faces box.Box, fy, fz, sd, zlo, zhi int) {
+	nx, ny := faces.Size()[0], faces.Size()[1]
 	for zi := zlo; zi < zhi; zi++ {
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			src := s.off0(ivect.New(faces.Lo[0], y, faces.Lo[2]+zi))
-			dst := (y-faces.Lo[1])*fy + zi*fz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				out[dst+x] = kernel.FaceAvg(ph, src+x, sd)
-			}
+		// Offsets of the slab's first row; the y strides step them.
+		src := s.off0(ivect.New(faces.Lo[0], faces.Lo[1], faces.Lo[2]+zi))
+		dst := zi * fz
+		for y := 0; y < ny; y++ {
+			kernel.FaceAvgRow(out[dst:dst+nx], ph, src, sd)
+			src, dst = src+s.str0[1], dst+fy
 		}
 	}
 }
 
-// seriesFaceAvgSlabsCLI is seriesFaceAvgSlabs with the component loop
+// seriesFaceAvgSlabsCLI is faceAvgSlabs with the component loop
 // innermost, writing all components of the flux array.
 func seriesFaceAvgSlabsCLI(s *state, fluxData, phiData []float64, faces box.Box, fy, fz, fc, sd, zlo, zhi int) {
 	for zi := zlo; zi < zhi; zi++ {
@@ -151,12 +154,11 @@ func seriesFaceAvgSlabsCLI(s *state, fluxData, phiData []float64, faces box.Box,
 // seriesScaleSlabs applies the flux product (EvalFlux2) in place to one
 // component for z slabs [zlo, zhi) of faces.
 func seriesScaleSlabs(out, vData []float64, faces box.Box, fy, fz, zlo, zhi int) {
+	nx := faces.Size()[0]
 	for zi := zlo; zi < zhi; zi++ {
 		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
 			off := (y-faces.Lo[1])*fy + zi*fz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				out[off+x] = kernel.Flux2(vData[off+x], out[off+x])
-			}
+			kernel.Flux2Row(out[off:off+nx], vData[off:])
 		}
 	}
 }
@@ -179,13 +181,13 @@ func seriesScaleSlabsCLI(fluxData, vData []float64, faces box.Box, fy, fz, fc, z
 // seriesAccumSlabs accumulates one component's flux difference into phi1
 // for z slabs [zlo, zhi) of cells.
 func seriesAccumSlabs(s *state, dst, fd []float64, cells, faces box.Box, fy, fz, fdir, zlo, zhi int) {
+	nx, ny := cells.Size()[0], cells.Size()[1]
 	for zi := zlo; zi < zhi; zi++ {
-		for y := cells.Lo[1]; y <= cells.Hi[1]; y++ {
-			fOff := (y-cells.Lo[1])*fy + (zi+cells.Lo[2]-faces.Lo[2])*fz
-			pOff := s.off1(ivect.New(cells.Lo[0], y, cells.Lo[2]+zi))
-			for x := 0; x <= cells.Hi[0]-cells.Lo[0]; x++ {
-				dst[pOff+x] += fd[fOff+x+fdir] - fd[fOff+x]
-			}
+		fOff := (zi + cells.Lo[2] - faces.Lo[2]) * fz
+		pOff := s.off1(ivect.New(cells.Lo[0], cells.Lo[1], cells.Lo[2]+zi))
+		for y := 0; y < ny; y++ {
+			kernel.DiffAccRow(dst[pOff:pOff+nx], fd[fOff+fdir:], fd[fOff:])
+			fOff, pOff = fOff+fy, pOff+s.str1[1]
 		}
 	}
 }
@@ -255,7 +257,7 @@ func execSeriesNoVelTemp(s *state, threads int, ar *scratch.Arena) Stats {
 			ph := s.comp0(c)
 			out := flux.Comp(c)
 			parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-				seriesFaceAvgSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
+				faceAvgSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
 			})
 		}
 

@@ -121,9 +121,12 @@ func (f *fusedSweep) cacheBytes() int64 {
 // run sweeps the cells of tile (a sub-box of org, or org itself) in
 // lexicographic order for the components in flight. Everything that does
 // not vary along x — offsets, velocity and cache rows, whether the row sits
-// on a low face of org — is resolved once per row; the cells are
-// kernel.FusedRow's. With several components in flight (CLI) the component loop
-// sits here, between the y and the x loop.
+// on a low face of org — is resolved before the row: the offsets of a
+// plane's first row once per plane, stepped by the y strides from there
+// (a 16-cell row is a few dozen vector instructions, so per-row offset
+// arithmetic from an IntVect shows in the profile); the cells are
+// kernel.FusedRow's. With several components in flight (CLI) the component
+// loop sits here, between the y and the x loop.
 func (f *fusedSweep) run(tile box.Box) {
 	s := f.s
 	sy, sz := s.str0[1], s.str0[2]
@@ -132,12 +135,13 @@ func (f *fusedSweep) run(tile box.Box) {
 	xi := x0 - f.org[0]
 	for z := tile.Lo[2]; z <= tile.Hi[2]; z++ {
 		zi := z - f.org[2]
+		p := ivect.New(x0, tile.Lo[1], z)
+		o0, o1 := s.off0(p), s.off1(p)
+		ox, oy, oz := f.vx.off(p), f.vy.off(p), f.vz.off(p)
 		for y := tile.Lo[1]; y <= tile.Hi[1]; y++ {
 			yi := y - f.org[1]
-			p := ivect.New(x0, y, z)
-			o0, o1 := s.off0(p), s.off1(p)
-			vx := f.vx.row(p) // faces x0 .. x0+n: low face of the row, then each cell's high face
-			vy, vz := f.vy.row(p), f.vz.row(p)
+			vx := f.vx.data[ox:] // faces x0 .. x0+n: low face of the row, then each cell's high face
+			vy, vz := f.vy.data[oy:], f.vz.data[oz:]
 			for c := f.cLo; c < f.cHi; c++ {
 				ph := s.comps0[c]
 				ci := c - f.cLo
@@ -156,6 +160,8 @@ func (f *fusedSweep) run(tile box.Box) {
 				*fx = kernel.FusedRow(s.comps1[c][o1:o1+n], ph, o0, sy, sz,
 					vx[1:], vy[f.vy.sy:], vz[f.vz.sz:], fy, fz, *fx)
 			}
+			o0, o1 = o0+sy, o1+s.str1[1]
+			ox, oy, oz = ox+f.vx.sy, oy+f.vy.sy, oz+f.vz.sy
 		}
 	}
 }

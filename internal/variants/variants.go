@@ -262,30 +262,15 @@ func velocityField(s *state, region box.Box, threads int, ar *scratch.Arena) [3]
 			// Serial callers (P>=Box boxes, per-tile recomputation) run the
 			// slab body directly: a closure here would heap-allocate on
 			// every tile of the overlapped schedules.
-			velSlabs(s, out, ph, faces, vy, vz, sd, 0, nz)
+			faceAvgSlabs(s, out, ph, faces, vy, vz, sd, 0, nz)
 		} else {
 			parallel.ForChunked(threads, nz, func(_, zlo, zhi int) {
-				velSlabs(s, out, ph, faces, vy, vz, sd, zlo, zhi)
+				faceAvgSlabs(s, out, ph, faces, vy, vz, sd, zlo, zhi)
 			})
 		}
 		vel[d] = v
 	}
 	return vel
-}
-
-// velSlabs fills the velocity face averages for z slabs [zlo, zhi) of faces.
-func velSlabs(s *state, out, ph []float64, faces box.Box, vy, vz, sd, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		z := faces.Lo[2] + zi
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			src := s.off0(ivect.New(faces.Lo[0], y, z))
-			dst := (y - faces.Lo[1]) * vy
-			dst += zi * vz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				out[dst+x] = kernel.FaceAvg(ph, src+x, sd)
-			}
-		}
-	}
 }
 
 // velAcc is a raw-slice accessor for a single-component face FAB, used in
@@ -301,10 +286,10 @@ func newVelAcc(f *fab.FAB) velAcc {
 	return velAcc{data: f.Comp(0), lo: f.Box().Lo, sy: sy, sz: sz}
 }
 
-// row returns the velocities from face p to the end of the field; the x
-// row starting at p leads it.
-func (v velAcc) row(p ivect.IntVect) []float64 {
-	return v.data[(p[0]-v.lo[0])+v.sy*(p[1]-v.lo[1])+v.sz*(p[2]-v.lo[2]):]
+// off returns the offset of face p in data; the x row starting at p
+// follows it, the next row in y is sy further on.
+func (v velAcc) off(p ivect.IntVect) int {
+	return (p[0] - v.lo[0]) + v.sy*(p[1]-v.lo[1]) + v.sz*(p[2]-v.lo[2])
 }
 
 // checkoutWorkerArenas returns one arena per worker thread for the
