@@ -4,7 +4,8 @@
 // the fleet work raises: what does the service actually sustain, and
 // what does a client see at the tail?
 //
-// Each worker submits a request, polls the job to a terminal state, and
+// Each worker submits a request, long-polls the job (GET
+// /v1/jobs/{id}?wait=) until the server answers it terminal, and
 // immediately submits the next one, so -concurrency is the number of
 // in-flight requests, not an arrival rate. Distinct workers use
 // distinct problem bodies, so a coordinator spreads them across its
@@ -45,7 +46,6 @@ type options struct {
 	domainN     int
 	steps       int
 	threads     int
-	pollEvery   time.Duration
 	jsonPath    string
 	out         io.Writer
 }
@@ -60,7 +60,6 @@ func main() {
 	flag.IntVar(&o.domainN, "n", 16, "solve domain edge")
 	flag.IntVar(&o.steps, "steps", 50, "solve time steps")
 	flag.IntVar(&o.threads, "threads", 1, "threads requested per job")
-	flag.DurationVar(&o.pollEvery, "poll", 20*time.Millisecond, "job poll interval")
 	flag.StringVar(&o.jsonPath, "json", "", "write a BENCH_*.json perf record to this path")
 	flag.Parse()
 	o.out = os.Stdout
@@ -211,7 +210,7 @@ func worker(ctx context.Context, o options, hc *http.Client, base string, w int,
 			return
 		}
 		start := time.Now()
-		res := oneRequest(ctx, o, hc, base, path, tenant, body)
+		res := oneRequest(ctx, hc, base, path, tenant, body)
 		switch {
 		case ctx.Err() != nil:
 			return // interrupted mid-flight: not a service failure, and none of its tallies count
@@ -256,7 +255,7 @@ func requestFor(o options, w int) (path, body string) {
 	}
 }
 
-// jobView is the subset of a job snapshot the poller needs.
+// jobView is the subset of a job snapshot the client needs.
 type jobView struct {
 	ID     string          `json:"id"`
 	Status string          `json:"status"`
@@ -281,8 +280,13 @@ type outcome struct {
 	replacements int64 // fleet re-placements the result reports
 }
 
-// oneRequest drives one submit-poll-complete cycle.
-func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, tenant, body string) outcome {
+// jobWait is how long one look at a job asks the server to hold its
+// answer; the server caps it at its own limit and answers sooner the
+// moment the job settles.
+const jobWait = 10 * time.Second
+
+// oneRequest drives one submit-wait-complete cycle.
+func oneRequest(ctx context.Context, hc *http.Client, base, path, tenant, body string) outcome {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, strings.NewReader(body))
 	if err != nil {
 		return outcome{}
@@ -310,46 +314,12 @@ func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, ten
 	default:
 		return outcome{}
 	}
-	var snap jobView
-	if err := json.Unmarshal(data, &snap); err != nil || snap.ID == "" {
+	var j jobView
+	if err := json.Unmarshal(data, &j); err != nil || j.ID == "" {
 		return outcome{}
 	}
-	t := time.NewTicker(o.pollEvery)
-	defer t.Stop()
+	id := j.ID
 	for {
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			// Time is up with a job in flight; cancel it best-effort so the
-			// server is not left measuring for a departed client.
-			dreq, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+snap.ID, nil)
-			if err == nil {
-				if dresp, err := hc.Do(dreq); err == nil {
-					dresp.Body.Close()
-				}
-			}
-			return outcome{}
-		}
-		greq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+snap.ID, nil)
-		if err != nil {
-			return outcome{}
-		}
-		gresp, err := hc.Do(greq)
-		if err != nil {
-			if ctx.Err() != nil {
-				continue // let the ctx.Done arm run the cancel path
-			}
-			return outcome{}
-		}
-		gdata, err := io.ReadAll(io.LimitReader(gresp.Body, 1<<20))
-		gresp.Body.Close()
-		if err != nil || gresp.StatusCode != http.StatusOK {
-			return outcome{}
-		}
-		var j jobView
-		if err := json.Unmarshal(gdata, &j); err != nil {
-			return outcome{}
-		}
 		switch j.Status {
 		case "done":
 			res := outcome{ok: true}
@@ -359,6 +329,38 @@ func oneRequest(ctx context.Context, o options, hc *http.Client, base, path, ten
 			}
 			return res
 		case "failed", "canceled":
+			return outcome{}
+		}
+		if ctx.Err() != nil {
+			// Time is up with a job in flight; cancel it best-effort so the
+			// server is not left measuring for a departed client.
+			dreq, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+			if err == nil {
+				if dresp, err := hc.Do(dreq); err == nil {
+					dresp.Body.Close()
+				}
+			}
+			return outcome{}
+		}
+		greq, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			base+"/v1/jobs/"+id+"?wait="+jobWait.String(), nil)
+		if err != nil {
+			return outcome{}
+		}
+		gresp, err := hc.Do(greq)
+		if err != nil {
+			if ctx.Err() != nil {
+				continue // the loop's deadline check runs the cancel path
+			}
+			return outcome{}
+		}
+		gdata, err := io.ReadAll(io.LimitReader(gresp.Body, 1<<20))
+		gresp.Body.Close()
+		if err != nil || gresp.StatusCode != http.StatusOK {
+			return outcome{}
+		}
+		j = jobView{}
+		if err := json.Unmarshal(gdata, &j); err != nil {
 			return outcome{}
 		}
 	}

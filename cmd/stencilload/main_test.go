@@ -17,8 +17,8 @@ import (
 )
 
 // fakeServe is a minimal stencilserved stand-in: 202s submissions,
-// completes each job after a short delay, serves polls, and can inject
-// throttles and synchronous cache answers.
+// completes each job after a short delay, serves long polls, and can
+// inject throttles and synchronous cache answers.
 type fakeServe struct {
 	mu       sync.Mutex
 	jobs     map[string]time.Time // id -> completion time
@@ -64,6 +64,13 @@ func (f *fakeServe) handler() http.Handler {
 			w.WriteHeader(http.StatusNotFound)
 			return
 		}
+		// Hold the answer until the job is done or ?wait= passes.
+		wait, _ := time.ParseDuration(r.URL.Query().Get("wait"))
+		select {
+		case <-time.After(min(time.Until(doneAt), wait)):
+		case <-r.Context().Done():
+			return
+		}
 		status := "running"
 		if time.Now().After(doneAt) {
 			status = "done"
@@ -81,7 +88,7 @@ func loadOpts(url string) options {
 	return options{
 		url: url, kind: "solve", duration: 300 * time.Millisecond,
 		concurrency: 3, domainN: 8, steps: 2, threads: 1,
-		pollEvery: 5 * time.Millisecond, out: &strings.Builder{},
+		out: &strings.Builder{},
 	}
 }
 
@@ -243,7 +250,6 @@ func TestLoadDeadlineDiscardsWholeRequest(t *testing.T) {
 		})}
 		o := loadOpts("http://load.test")
 		o.kind = kind
-		o.pollEvery = time.Millisecond
 		st := &loadStats{}
 		worker(ctx, o, hc, o.url, 0, st)
 		cancel()
@@ -264,5 +270,22 @@ func TestLoadDeadlineDiscardsWholeRequest(t *testing.T) {
 		if got := len(st.latencies); got != counted {
 			t.Errorf("%s: %d latencies observed, want %d", kind, got, counted)
 		}
+	}
+}
+
+// TestLoadSettlesTerminalAccept: a 202 whose snapshot is already terminal
+// is the answer; the client does not look at the job again.
+func TestLoadSettlesTerminalAccept(t *testing.T) {
+	var looks atomic.Int64
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) *http.Response {
+		if r.Method == http.MethodGet {
+			looks.Add(1)
+			return cannedResponse(http.StatusOK, `{"id":"job-1","status":"running"}`)
+		}
+		return cannedResponse(http.StatusAccepted, `{"id":"job-1","status":"done","result":{"replacements":1}}`)
+	})}
+	res := oneRequest(context.Background(), hc, "http://load.test", "/v1/solve", "", `{}`)
+	if !res.ok || res.replacements != 1 || looks.Load() != 0 {
+		t.Fatalf("outcome %+v after %d looks, want ok with 1 replacement and no look", res, looks.Load())
 	}
 }

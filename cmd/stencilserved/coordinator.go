@@ -45,7 +45,7 @@ type coordServer struct {
 
 func newCoordinator(cfg coordConfig) (*coordServer, error) {
 	if cfg.workers < 1 {
-		cfg.workers = 16 // placements poll, they do not compute; be generous
+		cfg.workers = 16 // placements wait, they do not compute; be generous
 	}
 	co, err := fleet.New(fleet.Config{
 		Peers:         cfg.peers,
@@ -55,7 +55,7 @@ func newCoordinator(cfg coordConfig) (*coordServer, error) {
 		return nil, err
 	}
 	// Thread budget: placement jobs hold no compute threads, so the
-	// budget equals the worker count — one token per in-flight poll.
+	// budget equals the worker count — one token per in-flight wait.
 	n, err := newNode(cfg.nodeConfig, cfg.workers)
 	if err != nil {
 		return nil, err

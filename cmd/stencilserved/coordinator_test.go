@@ -149,13 +149,13 @@ func doFleet(t *testing.T, url, tenant, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// awaitFleetJob polls the coordinator until job id settles.
+// awaitFleetJob long-polls the coordinator until job id settles.
 func awaitFleetJob(t *testing.T, base, id string, timeout time.Duration) fleetJob {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		var j fleetJob
-		if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, nil, &j); code != http.StatusOK {
+		if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id+"?wait=1s", nil, &j); code != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, code)
 		}
 		switch j.Status {
@@ -165,7 +165,6 @@ func awaitFleetJob(t *testing.T, base, id string, timeout time.Duration) fleetJo
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s still %q after %s", id, j.Status, timeout)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -275,6 +274,91 @@ func TestFleetSurvivesPeerKill(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestRequestIDFollowsPlacement follows one X-Request-Id from the client
+// through the coordinator to the peer: echoed on the coordinator's
+// answers, stamped on its placement job, sent on the submit and on every
+// long poll the placement makes, and stamped on the peer's job. A request
+// without one gets a minted id, echoed and stamped the same way.
+func TestRequestIDFollowsPlacement(t *testing.T) {
+	f := newTestFleet(t, 2, coordConfig{})
+	var mu sync.Mutex
+	seen := map[string][]string{} // "submit" / "long poll" -> request ids the peers saw
+	for _, p := range f.peers {
+		srv := p.srv
+		p.swap.swap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			key := ""
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/solve":
+				key = "submit"
+			case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && r.URL.Query().Has("wait"):
+				key = "long poll"
+			}
+			if key != "" {
+				mu.Lock()
+				seen[key] = append(seen[key], r.Header.Get(requestIDHeader))
+				mu.Unlock()
+			}
+			srv.ServeHTTP(w, r)
+		}))
+	}
+
+	const id = "req-trace-7"
+	req, err := http.NewRequest(http.MethodPost, f.ts.URL+"/v1/solve", strings.NewReader(solveBody(0, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(requestIDHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted struct {
+		ID        string `json:"id"`
+		RequestID string `json:"request_id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&accepted)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("solve: status %d: %v", resp.StatusCode, err)
+	}
+	if got := resp.Header.Get(requestIDHeader); got != id || accepted.RequestID != id {
+		t.Fatalf("coordinator echoed %q and stamped %q, want %q on both", got, accepted.RequestID, id)
+	}
+	j := awaitFleetJob(t, f.ts.URL, accepted.ID, 30*time.Second)
+	var placed fleetJobResult
+	if err := json.Unmarshal(j.Result, &placed); err != nil || j.Status != "done" {
+		t.Fatalf("placement %s %s: %v", j.Status, j.Error, err)
+	}
+	remote, ok := f.peerByName(placed.Peer).srv.queue.Get(placed.RemoteID)
+	if !ok || remote.RequestID != id {
+		t.Fatalf("peer %s job %s carries request id %q, want %q", placed.Peer, placed.RemoteID, remote.RequestID, id)
+	}
+	mu.Lock()
+	for _, key := range []string{"submit", "long poll"} {
+		if len(seen[key]) == 0 {
+			t.Errorf("no %s reached a peer", key)
+		}
+		for _, got := range seen[key] {
+			if got != id {
+				t.Errorf("%s reached the peer with request id %q, want %q", key, got, id)
+			}
+		}
+	}
+	mu.Unlock()
+
+	// No id from the client: the coordinator mints one.
+	resp, err = http.Post(f.ts.URL+"/v1/solve", "application/json", strings.NewReader(solveBody(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&accepted)
+	resp.Body.Close()
+	if minted := resp.Header.Get(requestIDHeader); err != nil || minted == "" || minted == id || accepted.RequestID != minted {
+		t.Fatalf("unlabelled request: echoed %q, stamped %q (%v); want one fresh id on both", minted, accepted.RequestID, err)
+	}
+	awaitFleetJob(t, f.ts.URL, accepted.ID, 30*time.Second)
 }
 
 // TestFleetCacheReplicationAcrossRestart exercises the full replication

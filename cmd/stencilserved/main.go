@@ -16,6 +16,7 @@
 //	POST   /v1/model      modeled execution time on a paper machine (sync)
 //	GET    /v1/variants   the studied scheduling variants (JSON or ?format=text)
 //	GET    /v1/jobs       list jobs;  GET /v1/jobs/{id} one job
+//	                      (?wait=2s holds the answer until the job settles)
 //	DELETE /v1/jobs/{id}  cancel a job
 //	GET    /metrics       Prometheus text format
 //	GET    /healthz       liveness + queue stats
@@ -126,25 +127,29 @@ func defaultCacheDir() string {
 }
 
 // service is what run needs from either role: the node skeleton gives
-// both the handler and the drain lifecycle; they differ in the banner
+// both the handler and the shutdown lifecycle; they differ in the banner
 // and in what else must be torn down at exit.
 type service interface {
 	http.Handler
 	banner(addr net.Addr) string
 	drainBudget() time.Duration
+	endWaits()
 	drain(ctx context.Context) error
 }
 
 // run serves until ctx is canceled (SIGINT/SIGTERM in production; the
 // drain test cancels it directly), then shuts down gracefully: stop
-// accepting connections, drain in-flight jobs, exit. ready, when
-// non-nil, receives the bound address once the listener is up.
+// accepting connections, answer every waiting job GET with its current
+// snapshot, finish the requests in flight, drain in-flight jobs, exit.
+// ready, when non-nil, receives the bound address once the listener is
+// up.
 func run(ctx context.Context, addr string, svc service, ready func(net.Addr)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	hs := &http.Server{Handler: svc}
+	hs.RegisterOnShutdown(svc.endWaits)
 	log.Print(svc.banner(ln.Addr()))
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,9 +30,9 @@ type nodeConfig struct {
 
 // node is the skeleton under both roles: the queue with its admission
 // control, the tunecache and its replication endpoints, the instrumented
-// router, job listing and cancellation, and the metrics write-out. server
-// and coordServer embed it and add only what is theirs; nothing here asks
-// which role it serves.
+// router, job listing, waiting and cancellation, and the metrics
+// write-out. server and coordServer embed it and add only what is
+// theirs; nothing here asks which role it serves.
 type node struct {
 	nodeConfig
 	queue *jobs.Queue
@@ -38,6 +40,10 @@ type node struct {
 	reg   *metrics.Registry
 	mux   *http.ServeMux
 	start time.Time
+	// closing ends when shutdown begins; every GET /v1/jobs/{id}?wait=
+	// still waiting then answers at once (see endWaits).
+	closing  context.Context
+	shutdown context.CancelFunc
 }
 
 // newNode builds the queue (threadBudget tokens shared by running jobs),
@@ -53,6 +59,7 @@ func newNode(cfg nodeConfig, threadBudget int) (*node, error) {
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 	}
+	n.closing, n.shutdown = context.WithCancel(context.Background())
 	if cfg.jobHistory > 0 {
 		n.queue.SetHistoryLimit(cfg.jobHistory)
 	}
@@ -74,13 +81,46 @@ func newNode(cfg nodeConfig, threadBudget int) (*node, error) {
 	return n, nil
 }
 
-func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHTTP(w, r) }
+// ServeHTTP gives every request an id — the caller's X-Request-Id, or
+// one minted here — before routing it. The id is echoed on the response
+// (whatever answers it, the mux's own 404 and 405 included), stamped on
+// any job the request queues, and carried by the request's context to the
+// peer a coordinator places it on.
+func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := r.Header.Get(requestIDHeader)
+	if id == "" || len(id) > maxRequestIDLen {
+		id = newRequestID()
+	}
+	w.Header().Set(requestIDHeader, id)
+	n.mux.ServeHTTP(w, r.WithContext(fleet.WithRequestID(r.Context(), id)))
+}
 
-// drainBudget and drain are the shutdown half of the service interface
-// run uses; a role with more to tear down shadows drain.
+// drainBudget, endWaits and drain are the shutdown half of the service
+// interface run uses; a role with more to tear down shadows drain.
+// endWaits runs first, when shutdown begins: the HTTP server waits for
+// every in-flight request before drain starts, and a long poll on a job
+// only drain would settle (a pending one) would otherwise hold shutdown
+// for the whole wait.
 func (n *node) drainBudget() time.Duration { return n.drainTimeout }
 
+func (n *node) endWaits() { n.shutdown() }
+
 func (n *node) drain(ctx context.Context) error { return n.queue.Drain(ctx) }
+
+// requestIDHeader names one client request across the nodes it touches
+// (see ServeHTTP).
+const requestIDHeader = fleet.RequestIDHeader
+
+// maxRequestIDLen bounds a client-chosen request id; a longer one is
+// replaced, since the id is echoed and stored on jobs.
+const maxRequestIDLen = 64
+
+// newRequestID mints an id for a request that arrived without one.
+func newRequestID() string {
+	var b [8]byte
+	_, _ = rand.Read(b[:])
+	return hex.EncodeToString(b[:])
+}
 
 // handle registers a route instrumented with a per-route latency
 // histogram and a per-route/status response counter. The route label is
@@ -161,7 +201,8 @@ const tenantHeader = "X-Tenant"
 // accepted; either way the response is written.
 func (n *node) admit(w http.ResponseWriter, r *http.Request, kind string, threads int, fn jobs.Func) bool {
 	tenant := r.Header.Get(tenantHeader)
-	snap, err := n.queue.SubmitTagged(kind, tenant, threads, n.jobTimeout, fn)
+	tag := jobs.Tag{Tenant: tenant, RequestID: fleet.RequestID(r.Context())}
+	snap, err := n.queue.SubmitTagged(kind, tag, threads, n.jobTimeout, fn)
 	switch err {
 	case nil:
 		writeJSON(w, http.StatusAccepted, snap)
@@ -191,8 +232,47 @@ func (n *node) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.queue.List())
 }
 
+// maxJobWait caps ?wait= on GET /v1/jobs/{id}: long enough that a
+// waiting client looks about once per job, short enough to stay under
+// the idle timeouts of whatever sits between client and node.
+const maxJobWait = 30 * time.Second
+
+// handleJobGet answers the job's snapshot. With ?wait=<Go duration> it
+// first holds the answer until the job settles, the wait (capped at
+// maxJobWait) passes, the client leaves, or shutdown begins — whichever
+// comes first — so a client learns of completion the moment it happens
+// instead of on its next poll.
 func (n *node) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	n.answerJob(w, r, n.queue.Get)
+	wait, err := jobWait(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if wait == 0 {
+		n.answerJob(w, r, n.queue.Get)
+		return
+	}
+	n.answerJob(w, r, func(id string) (jobs.Snapshot, bool) {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		defer cancel()
+		defer context.AfterFunc(n.closing, cancel)()
+		return n.queue.Wait(ctx, id)
+	})
+}
+
+// jobWait reads ?wait=: absent or zero asks for an immediate answer, a
+// longer wait than maxJobWait is clamped to it, and anything that is not
+// a non-negative Go duration is refused.
+func jobWait(r *http.Request) (time.Duration, error) {
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q: want a non-negative Go duration such as 2s", v)
+	}
+	return min(d, maxJobWait), nil
 }
 
 func (n *node) handleJobCancel(w http.ResponseWriter, r *http.Request) {

@@ -147,12 +147,12 @@ func occupy(t *testing.T, n *node, tenant string, all bool) (release func()) {
 		<-gate
 		return nil, nil
 	}
-	if _, err := n.queue.SubmitTagged("test", tenant, 1, 0, block); err != nil {
+	if _, err := n.queue.SubmitTagged("test", jobs.Tag{Tenant: tenant}, 1, 0, block); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the worker holds it: later submissions stay pending
 	for all {
-		if _, err := n.queue.SubmitTagged("test", tenant, 1, 0, block); err == jobs.ErrQueueFull {
+		if _, err := n.queue.SubmitTagged("test", jobs.Tag{Tenant: tenant}, 1, 0, block); err == jobs.ErrQueueFull {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -178,6 +178,59 @@ func TestSharedHandlersBothRoles(t *testing.T) {
 					code, _, msg, _ := post(t, method, base+"/v1/jobs/nope-1", "", nil)
 					if code != http.StatusNotFound || !strings.Contains(msg, "nope-1") {
 						t.Errorf("%s unknown job: %d %q, want 404 naming the id", method, code, msg)
+					}
+				}
+			}},
+		{"a bad ?wait= is a 400, and an unknown id a 404 with or without one",
+			func(t *testing.T) nodeConfig { return nodeConfig{} },
+			func(t *testing.T, base string, n *node) {
+				for _, wait := range []string{"soon", "-1s", "5"} {
+					code, _, msg, _ := post(t, http.MethodGet, base+"/v1/jobs/nope-1?wait="+wait, "", nil)
+					if code != http.StatusBadRequest || !strings.Contains(msg, "wait") {
+						t.Errorf("?wait=%s: %d %q, want 400 naming the parameter", wait, code, msg)
+					}
+				}
+				start := time.Now()
+				code, _, msg, _ := post(t, http.MethodGet, base+"/v1/jobs/nope-1?wait=10s", "", nil)
+				if code != http.StatusNotFound || !strings.Contains(msg, "nope-1") || time.Since(start) > 5*time.Second {
+					t.Errorf("waiting on an unknown job: %d %q after %s, want an immediate 404", code, msg, time.Since(start))
+				}
+			}},
+		{"?wait= answers the moment the job settles, and no later than the wait",
+			func(t *testing.T) nodeConfig { return nodeConfig{} },
+			func(t *testing.T, base string, n *node) {
+				gate := make(chan struct{})
+				snap, err := n.queue.Submit("test", 1, 0, func(ctx context.Context) (any, error) { <-gate; return "ok", nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got jobs.Snapshot
+				start := time.Now()
+				if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+snap.ID+"?wait=50ms", nil, &got); code != http.StatusOK ||
+					got.Status.Terminal() || time.Since(start) < 50*time.Millisecond {
+					t.Errorf("wait on a live job: %d %s after %s, want 200 and the live snapshot after the wait", code, got.Status, time.Since(start))
+				}
+				time.AfterFunc(50*time.Millisecond, func() { close(gate) })
+				start = time.Now()
+				if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+snap.ID+"?wait=20s", nil, &got); code != http.StatusOK ||
+					got.Status != jobs.StatusDone || time.Since(start) > 10*time.Second {
+					t.Errorf("wait across completion: %d %s after %s, want 200 done as it settles", code, got.Status, time.Since(start))
+				}
+			}},
+		{"?wait= beyond the cap is clamped to it, not refused",
+			func(t *testing.T) nodeConfig { return nodeConfig{} },
+			func(t *testing.T, base string, n *node) {
+				snap, err := n.queue.Submit("test", 1, 0, func(ctx context.Context) (any, error) { return "ok", nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got jobs.Snapshot
+				if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+snap.ID+"?wait=1000h", nil, &got); code != http.StatusOK || got.Status != jobs.StatusDone {
+					t.Errorf("?wait=1000h: %d %s, want 200 done", code, got.Status)
+				}
+				for wait, want := range map[string]time.Duration{"": 0, "0s": 0, "2s": 2 * time.Second, "1000h": maxJobWait} {
+					if got, err := jobWait(httptest.NewRequest(http.MethodGet, "/v1/jobs/x?wait="+wait, nil)); err != nil || got != want {
+						t.Errorf("jobWait(%q) = %s, %v; want %s", wait, got, err, want)
 					}
 				}
 			}},

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -78,19 +79,18 @@ func doJSON(t *testing.T, method, url string, body, out any) int {
 	return resp.StatusCode
 }
 
-// awaitJob polls the job endpoint until the job is terminal.
+// awaitJob long-polls the job endpoint until the job is terminal.
 func awaitJob(t *testing.T, baseURL, id string) jobs.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		var snap jobs.Snapshot
-		if code := doJSON(t, http.MethodGet, baseURL+"/v1/jobs/"+id, nil, &snap); code != http.StatusOK {
+		if code := doJSON(t, http.MethodGet, baseURL+"/v1/jobs/"+id+"?wait=10s", nil, &snap); code != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, code)
 		}
 		if snap.Status.Terminal() {
 			return snap
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
 	return jobs.Snapshot{}
@@ -420,8 +420,43 @@ func TestRunDrainsInFlightJobsOnShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
+	// A long poll on the queued job. Only drain settles that job, and
+	// drain runs after the HTTP server has finished its requests, so
+	// shutdown itself must end the wait with the job's current snapshot.
+	wrote := make(chan struct{})
+	polled := make(chan jobs.Snapshot, 1)
+	go func() {
+		var snap jobs.Snapshot
+		defer func() { polled <- snap }()
+		trace := &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { close(wrote) }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			http.MethodGet, base+"/v1/jobs/"+queued.ID+"?wait=30s", nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("long poll across shutdown: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("long poll across shutdown: status %d: %v", resp.StatusCode, err)
+		}
+	}()
+	select {
+	case <-wrote:
+	case snap := <-polled:
+		t.Fatalf("long poll ended before shutdown began: %+v", snap)
+	}
+	time.Sleep(20 * time.Millisecond) // let the handler park on the job
+	shutdown := time.Now()
 	cancel() // the SIGINT stand-in
-	time.Sleep(20 * time.Millisecond)
+	// Release the in-flight job only once shutdown has had time to end
+	// the long poll and hand over to drain; released earlier, the worker
+	// would start the queued job before drain could cancel it.
+	time.Sleep(100 * time.Millisecond)
 	close(release)
 	select {
 	case err := <-done:
@@ -430,6 +465,12 @@ func TestRunDrainsInFlightJobsOnShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not exit after drain")
+	}
+	if took := time.Since(shutdown); took > 5*time.Second {
+		t.Fatalf("run took %s to shut down with a long poll in flight, want well inside its 10s budget", took)
+	}
+	if snap := <-polled; snap.ID != queued.ID || snap.Status != jobs.StatusPending {
+		t.Fatalf("long poll answered %+v at shutdown, want the queued job still pending", snap)
 	}
 	if got, _ := s.queue.Get(inflight.ID); got.Status != jobs.StatusDone || got.Result != "survived the drain" {
 		t.Fatalf("in-flight job after drain: %+v", got)

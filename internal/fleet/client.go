@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // remoteJob is the slice of a peer's job snapshot the coordinator needs;
@@ -20,12 +21,42 @@ type remoteJob struct {
 	Error  string          `json:"error"`
 }
 
-func (j remoteJob) terminal() bool {
+// settled classifies a remote job snapshot, whichever request brought
+// it — the submit's 202 or a later look. A live job reports ok false.
+// A settled one reports ok true with its outcome: done yields the
+// result; failed is the job's own, permanent *RemoteJobError; canceled
+// is the peer leaving (almost always a drain in progress), not the job
+// failing, so it is peer-down-class and the job is re-placed.
+func (c *peerClient) settled(j remoteJob) (res json.RawMessage, ok bool, err error) {
 	switch j.Status {
-	case "done", "failed", "canceled":
-		return true
+	case "done":
+		return j.Result, true, nil
+	case "failed":
+		return nil, true, &RemoteJobError{Peer: c.peer.Name, JobID: j.ID, Message: j.Error}
+	case "canceled":
+		return nil, true, &PeerError{Peer: c.peer.Name, Op: "poll",
+			Err: fmt.Errorf("%w: job %s canceled by peer: %s", ErrPeerDown, j.ID, j.Error)}
 	}
-	return false
+	return nil, false, nil
+}
+
+// RequestIDHeader names one client request across the nodes it touches:
+// the coordinator forwards it on every request it makes to a peer for
+// that client request, so the peer's job carries the same id.
+const RequestIDHeader = "X-Request-Id"
+
+type requestIDKey struct{}
+
+// WithRequestID returns ctx carrying a request id; every peer request
+// made under the returned context sends it as RequestIDHeader.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
+// RequestID returns the request id ctx carries, or "".
+func RequestID(ctx context.Context) string {
+	id, _ := ctx.Value(requestIDKey{}).(string)
+	return id
 }
 
 // peerClient speaks the stencilserved HTTP API to one peer. All
@@ -57,6 +88,9 @@ func (c *peerClient) do(ctx context.Context, op, method, path string, body []byt
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if id := RequestID(ctx); id != "" {
+		req.Header.Set(RequestIDHeader, id)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -90,9 +124,10 @@ func (c *peerClient) submit(ctx context.Context, path string, body []byte) (int,
 	return c.do(ctx, "submit", http.MethodPost, path, body)
 }
 
-// getJob fetches one job snapshot.
-func (c *peerClient) getJob(ctx context.Context, id string) (remoteJob, error) {
-	status, data, err := c.do(ctx, "poll", http.MethodGet, "/v1/jobs/"+id, nil)
+// getJob fetches one job snapshot, asking the peer to hold the answer
+// until the job settles or wait passes.
+func (c *peerClient) getJob(ctx context.Context, id string, wait time.Duration) (remoteJob, error) {
+	status, data, err := c.do(ctx, "poll", http.MethodGet, "/v1/jobs/"+id+"?wait="+wait.String(), nil)
 	if err != nil {
 		return remoteJob{}, err
 	}

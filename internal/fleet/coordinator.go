@@ -233,10 +233,12 @@ type Placement struct {
 	c     *Coordinator
 	path  string
 	body  []byte
-	order []int // ring preference order
-	next  int   // cursor into order (with wraparound, see maxTries)
+	reqID string // the client request's id, forwarded on every peer request
+	order []int  // ring preference order
+	next  int    // cursor into order (with wraparound, see maxTries)
 	tries int
-	pi    int // current peer index (valid once placed)
+	pi    int       // current peer index (valid once placed)
+	job   remoteJob // the placed job as the peer accepted it
 	res   ExecResult
 }
 
@@ -245,14 +247,16 @@ type Placement struct {
 func (p *Placement) Result() ExecResult { return p.res }
 
 // Submit places the request on the ring: it walks the preference order
-// until a peer accepts (202 → Await polls it), answers synchronously
+// until a peer accepts (202 → Await waits on it), answers synchronously
 // (200 → Result holds the body, Await returns immediately), or the
 // request is rejected as invalid (*RequestError, permanent). Peers that
 // fail typed-transient are marked down and skipped; if every candidate
-// is down twice over, the error wraps ErrPeerDown.
+// is down twice over, the error wraps ErrPeerDown. The request id ctx
+// carries (WithRequestID) rides on every peer request of the placement,
+// Await's included.
 func (c *Coordinator) Submit(ctx context.Context, path string, body []byte) (*Placement, error) {
 	fp := Fingerprint(path, body)
-	p := &Placement{c: c, path: path, body: body, order: c.Place(fp)}
+	p := &Placement{c: c, path: path, body: body, reqID: RequestID(ctx), order: c.Place(fp)}
 	return p, p.advance(ctx)
 }
 
@@ -354,6 +358,9 @@ func (p *Placement) submitOn(ctx context.Context, pi int) error {
 		return &PeerError{Peer: cl.peer.Name, Op: "submit",
 			Err: fmt.Errorf("%w: bad accepted-job body: %v", ErrPeerDown, err)}
 	}
+	// The accepted snapshot is classified like any later one (Await starts
+	// from it), so a job already settled at submit costs no look.
+	p.job = j
 	p.res.Sync = false
 	p.res.Peer = cl.peer.Name
 	p.res.RemoteID = j.ID
@@ -361,10 +368,11 @@ func (p *Placement) submitOn(ctx context.Context, pi int) error {
 	return nil
 }
 
-// Await drives the placement to completion: poll the accepted job to a
-// terminal state, and when its peer dies mid-run (typed transient
-// failure, or the peer canceling under drain), re-place the request on
-// the next ring candidate and keep going.
+// Await drives the placement to completion: wait on the accepted job
+// until it settles, and when its peer dies mid-run (typed transient
+// failure, a peer that stops answering, or the peer canceling under
+// drain), re-place the request on the next ring candidate and keep
+// going.
 //
 // Degradation contract: a transient peer failure is never surfaced to
 // the caller while a candidate remains — jobs are re-placed, not
@@ -373,11 +381,12 @@ func (p *Placement) submitOn(ctx context.Context, pi int) error {
 // (at-least-once, like every re-placing scheduler).
 func (p *Placement) Await(ctx context.Context) (ExecResult, error) {
 	c := p.c
+	ctx = WithRequestID(ctx, p.reqID)
 	for {
 		if p.res.Sync {
 			return p.res, nil
 		}
-		out, err := c.pollToTerminal(ctx, p.pi, p.res.RemoteID)
+		out, err := c.pollToTerminal(ctx, p.pi, p.job)
 		if err == nil {
 			p.res.Peer = c.PeerName(p.pi)
 			p.res.Result = out
@@ -405,7 +414,7 @@ func (p *Placement) Await(ctx context.Context) (ExecResult, error) {
 // full), so the peer does not burn budget on an orphan.
 func (p *Placement) Abandon() {
 	if !p.res.Sync && p.res.RemoteID != "" {
-		p.c.abandonRemote(p.pi, p.res.RemoteID)
+		p.c.abandonRemote(WithRequestID(context.Background(), p.reqID), p.pi, p.res.RemoteID)
 	}
 }
 
@@ -422,67 +431,58 @@ func (c *Coordinator) Execute(ctx context.Context, path string, body []byte) (Ex
 	return p.Await(ctx)
 }
 
-// pollToTerminal polls one remote job until it settles. Transient poll
-// failures retry with backoff up to MaxRetries; past that the peer is
-// treated as dead and the typed error propagates to the re-placement
-// loop. If ctx ends, the remote job is best-effort canceled so the peer
-// does not burn its budget on an abandoned job.
-func (c *Coordinator) pollToTerminal(ctx context.Context, pi int, id string) (json.RawMessage, error) {
+// pollToTerminal drives one remote job, starting from its last seen
+// snapshot j, until it settles. Each look is a long poll: the peer holds
+// the answer until the job settles or ProbeTimeout passes, and the look's
+// deadline is twice that, so a peer that stops answering surfaces as
+// ErrTimeout and goes straight back to the re-placement loop instead of
+// being waited on again. Other transient failures retry with backoff up
+// to MaxRetries; past that the typed error propagates likewise. If ctx
+// ends, the remote job is best-effort canceled so the peer does not burn
+// its budget on an abandoned job.
+func (c *Coordinator) pollToTerminal(ctx context.Context, pi int, j remoteJob) (json.RawMessage, error) {
 	cl := c.clients[pi]
+	wait := c.cfg.probeTimeout()
 	misses := 0
 	backoff := c.cfg.retryBackoff()
-	t := time.NewTicker(c.cfg.pollInterval())
-	defer t.Stop()
 	for {
-		j, err := cl.getJob(ctx, id)
+		if res, ok, err := cl.settled(j); ok {
+			return res, err
+		}
+		lctx, cancel := context.WithTimeout(ctx, 2*wait)
+		next, err := cl.getJob(lctx, j.ID, wait)
+		cancel()
 		switch {
 		case err == nil:
+			j = next
 			misses = 0
 			backoff = c.cfg.retryBackoff()
-			if j.terminal() {
-				switch j.Status {
-				case "done":
-					return j.Result, nil
-				case "canceled":
-					// The peer canceled under us — almost always a drain in
-					// progress. That is the peer leaving, not the job
-					// failing, so it is peer-down-class: re-place it.
-					return nil, &PeerError{Peer: cl.peer.Name, Op: "poll",
-						Err: fmt.Errorf("%w: job %s canceled by peer: %s", ErrPeerDown, id, j.Error)}
-				default:
-					return nil, &RemoteJobError{Peer: cl.peer.Name, JobID: id, Message: j.Error}
-				}
-			}
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			c.abandonRemote(pi, id)
-			return nil, err
-		default:
-			misses++
-			if misses > c.cfg.maxRetries() {
-				return nil, err
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				c.abandonRemote(pi, id)
-				return nil, ctx.Err()
-			}
-			backoff *= 2
 			continue
+		case ctx.Err() != nil:
+			c.abandonRemote(ctx, pi, j.ID)
+			return nil, ctx.Err()
+		case errors.Is(err, ErrTimeout):
+			return nil, err
+		}
+		misses++
+		if misses > c.cfg.maxRetries() {
+			return nil, err
 		}
 		select {
-		case <-t.C:
+		case <-time.After(backoff):
 		case <-ctx.Done():
-			c.abandonRemote(pi, id)
+			c.abandonRemote(ctx, pi, j.ID)
 			return nil, ctx.Err()
 		}
+		backoff *= 2
 	}
 }
 
 // abandonRemote best-effort cancels a remote job whose coordinator-side
-// caller has gone away.
-func (c *Coordinator) abandonRemote(pi int, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+// caller has gone away. It keeps ctx's values (the request id) but not
+// its cancellation, which has usually already happened.
+func (c *Coordinator) abandonRemote(ctx context.Context, pi int, id string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 	defer cancel()
 	_ = c.clients[pi].cancelJob(ctx, id)
 }

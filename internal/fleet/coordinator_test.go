@@ -10,20 +10,24 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // fakePeer is a minimal in-memory stencilserved: enough of the jobs API
-// (submit 202, poll, cancel, healthz) for the coordinator to drive, with
-// controllable failure behaviors. A job whose body contains "fail!"
-// settles failed; "cached!" answers 200 synchronously; everything else
-// runs for runFor and settles done. Completions are counted exactly once
+// (submit 202, long-poll, cancel, healthz) for the coordinator to drive,
+// with controllable failure behaviors. A job whose body contains "fail!"
+// settles failed; "cached!" answers 200 synchronously; "instant!" is
+// accepted already done; everything else runs for runFor and settles done. Completions are counted exactly once
 // per job, at the moment a poll first observes it done — so tests can
-// assert the no-drop / no-double-execution contracts.
+// assert the no-drop / no-double-execution contracts. A silent peer
+// accepts submissions but never answers a look at a job.
 type fakePeer struct {
 	name   string
 	runFor time.Duration
+	silent bool
+	looks  atomic.Int64 // GETs of a job received
 
 	mu          sync.Mutex
 	seq         int
@@ -107,17 +111,45 @@ func (p *fakePeer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &fakeJob{id: fmt.Sprintf("%s-job-%d", p.name, p.seq), body: body, created: time.Now()}
 	p.jobs[j.id] = j
 	w.WriteHeader(http.StatusAccepted)
+	if strings.Contains(body, "instant!") {
+		j.counted = true
+		p.completions[body]++
+		fmt.Fprintf(w, `{"id":%q,"status":"done","result":{"peer":%q}}`, j.id, p.name)
+		return
+	}
 	fmt.Fprintf(w, `{"id":%q,"status":"pending"}`, j.id)
 }
 
+// handleGet answers a look at a job, holding it (as the real node does
+// for ?wait=) until the job settles, the wait passes, or the caller
+// leaves.
 func (p *fakePeer) handleGet(w http.ResponseWriter, r *http.Request) {
+	p.looks.Add(1)
+	if p.silent {
+		<-r.Context().Done()
+		return
+	}
+	wait, _ := time.ParseDuration(r.URL.Query().Get("wait"))
+	deadline := time.Now().Add(wait)
+	for !p.answer(w, r.PathValue("id"), !time.Now().Before(deadline)) {
+		select {
+		case <-time.After(time.Millisecond):
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
+
+// answer writes the job's snapshot if it is unknown, settled, or final
+// is set, and reports whether it did.
+func (p *fakePeer) answer(w http.ResponseWriter, id string, final bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	j, ok := p.jobs[r.PathValue("id")]
+	j, ok := p.jobs[id]
 	if !ok {
 		w.WriteHeader(http.StatusNotFound)
 		fmt.Fprint(w, `{"error":"no such job"}`)
-		return
+		return true
 	}
 	switch {
 	case j.canceled:
@@ -125,16 +157,19 @@ func (p *fakePeer) handleGet(w http.ResponseWriter, r *http.Request) {
 	case time.Since(j.created) >= p.runFor:
 		if strings.Contains(j.body, "fail!") {
 			fmt.Fprintf(w, `{"id":%q,"status":"failed","error":"injected failure"}`, j.id)
-			return
+			return true
 		}
 		if !j.counted {
 			j.counted = true
 			p.completions[j.body]++
 		}
 		fmt.Fprintf(w, `{"id":%q,"status":"done","result":{"peer":%q}}`, j.id, p.name)
-	default:
+	case final:
 		fmt.Fprintf(w, `{"id":%q,"status":"running"}`, j.id)
+	default:
+		return false
 	}
+	return true
 }
 
 func (p *fakePeer) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +196,6 @@ func testConfig(peers ...*fakePeer) Config {
 		Peers:         ps,
 		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
-		PollInterval:  2 * time.Millisecond,
 		RetryBackoff:  time.Millisecond,
 		MaxRetries:    3,
 	}
@@ -243,6 +277,25 @@ func TestSynchronousCacheAnswer(t *testing.T) {
 	}
 	if err := json.Unmarshal(res.Result, &out); err != nil || out.Source != "cache" {
 		t.Fatalf("result %s, want source=cache", res.Result)
+	}
+}
+
+// TestSettledAcceptCostsNoLook: a 202 whose snapshot is already done is
+// classified like any later snapshot — the placement finishes with its
+// result and never looks at the job again.
+func TestSettledAcceptCostsNoLook(t *testing.T) {
+	p := newFakePeer("solo", time.Hour)
+	defer p.close()
+	c := newTestCoordinator(t, testConfig(p))
+	res, err := c.Execute(context.Background(), "/v1/solve", []byte(`{"instant!":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sync || res.RemoteID == "" || peerOf(t, res) != "solo" {
+		t.Fatalf("settled accept: %+v, want the job's own result", res)
+	}
+	if n := p.looks.Load(); n != 0 {
+		t.Fatalf("%d looks at a job accepted already done, want 0", n)
 	}
 }
 

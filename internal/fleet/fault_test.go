@@ -142,6 +142,56 @@ func TestDrainUnderLoad(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
+// TestSilentPeerIsReplaced: a peer accepts the submission and then never
+// answers a look at the job. The look's deadline (twice ProbeTimeout)
+// turns the silence into ErrTimeout on the first look: the peer is marked
+// down and the job re-placed and finished elsewhere, inside 2*ProbeTimeout
+// plus backoff, with no retry against the silent peer and no goroutine
+// left behind.
+func TestSilentPeerIsReplaced(t *testing.T) {
+	before := runtime.NumGoroutine()
+	silent := newFakePeer("silent", time.Millisecond)
+	silent.silent = true
+	good := newFakePeer("good", time.Millisecond)
+	cfg := testConfig(silent, good)
+	cfg.ProbeInterval = -1 // only placement may mark a peer down here
+	c := newTestCoordinator(t, cfg)
+
+	var body []byte
+	for i := 0; ; i++ { // a problem the ring places on the silent peer first
+		body = []byte(fmt.Sprintf(`{"domain_n":16,"req":%d}`, i))
+		if c.PeerName(c.Place(Fingerprint("/v1/solve", body))[0]) == silent.name {
+			break
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, err := c.Execute(ctx, "/v1/solve", body)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("placement behind a silent peer dropped: %v", err)
+	}
+	if got := peerOf(t, res); got != good.name || res.Replacements != 1 {
+		t.Fatalf("finished on %s after %d re-placements, want %s after 1", got, res.Replacements, good.name)
+	}
+	if n := silent.looks.Load(); n != 1 {
+		t.Fatalf("silent peer got %d looks, want 1 (a timeout re-places, it does not retry)", n)
+	}
+	if limit := 2*cfg.ProbeTimeout + 200*time.Millisecond + cfg.RetryBackoff; elapsed > limit {
+		t.Fatalf("re-placement took %s, want under %s", elapsed, limit)
+	}
+	for _, st := range c.Peers() {
+		if st.Name == silent.name && (st.Healthy || st.Failures != 1) {
+			t.Fatalf("silent peer status %+v, want marked down once", st)
+		}
+	}
+	c.Close()
+	silent.close()
+	good.close()
+	checkNoGoroutineLeak(t, before)
+}
+
 // TestConcurrentExecuteStress hammers the coordinator from many
 // goroutines with mixed outcomes (success, cache answers, client
 // errors, job failures) to give the race detector surface area.

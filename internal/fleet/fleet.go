@@ -95,10 +95,11 @@ type Config struct {
 	// negative disables probing (placement then trusts the last state,
 	// which starts healthy).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe. Zero defaults to 2s.
+	// ProbeTimeout bounds one /healthz probe. Zero defaults to 2s. It is
+	// also how long one look at a placed job waits on the peer for the
+	// job to settle; that look's deadline is twice as long, so a peer that
+	// stops answering surfaces as ErrTimeout and the job is re-placed.
 	ProbeTimeout time.Duration
-	// PollInterval is the remote-job poll period. Zero defaults to 50ms.
-	PollInterval time.Duration
 	// MaxRetries bounds per-peer transient retries before the peer is
 	// declared down for this operation. Zero defaults to 3.
 	MaxRetries int
@@ -111,7 +112,6 @@ const (
 	defaultVnodes        = 64
 	defaultProbeInterval = time.Second
 	defaultProbeTimeout  = 2 * time.Second
-	defaultPollInterval  = 50 * time.Millisecond
 	defaultMaxRetries    = 3
 	defaultRetryBackoff  = 50 * time.Millisecond
 )
@@ -135,13 +135,6 @@ func (c Config) probeTimeout() time.Duration {
 		return defaultProbeTimeout
 	}
 	return c.ProbeTimeout
-}
-
-func (c Config) pollInterval() time.Duration {
-	if c.PollInterval <= 0 {
-		return defaultPollInterval
-	}
-	return c.PollInterval
 }
 
 func (c Config) maxRetries() int {

@@ -14,7 +14,9 @@
 // is cooperative — the job function receives a context and is expected to
 // check it (the stencilsched *Context entry points do) — except for jobs
 // still waiting in the queue or for thread tokens, which cancel
-// immediately.
+// immediately. Each job carries one completion channel, closed the moment
+// it settles, so Wait hands a caller the terminal snapshot without
+// polling.
 package jobs
 
 import (
@@ -57,11 +59,19 @@ var (
 	ErrTenantLimit = errors.New("jobs: tenant at capacity")
 )
 
+// Tag is what a submission carries beyond its work: the tenant it is
+// admitted and accounted under, and the id of the request that asked for
+// it, so one request can be followed across nodes.
+type Tag struct {
+	Tenant    string
+	RequestID string
+}
+
 // job is the internal record; all mutable fields are guarded by Queue.mu.
 type job struct {
 	id       string
 	kind     string
-	tenant   string
+	tag      Tag
 	threads  int
 	timeout  time.Duration
 	fn       Func
@@ -73,26 +83,28 @@ type job struct {
 	finished time.Time
 	cancel   context.CancelFunc // set once a worker picks the job up
 	canceled bool               // cancel requested
+	done     chan struct{}      // closed when the job settles (see settleLocked)
 }
 
 // Snapshot is a job's externally visible state.
 type Snapshot struct {
-	ID       string     `json:"id"`
-	Kind     string     `json:"kind"`
-	Tenant   string     `json:"tenant,omitempty"`
-	Status   Status     `json:"status"`
-	Threads  int        `json:"threads"`
-	Created  time.Time  `json:"created"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
-	Result   any        `json:"result,omitempty"`
-	Error    string     `json:"error,omitempty"`
+	ID        string     `json:"id"`
+	Kind      string     `json:"kind"`
+	Tenant    string     `json:"tenant,omitempty"`
+	RequestID string     `json:"request_id,omitempty"`
+	Status    Status     `json:"status"`
+	Threads   int        `json:"threads"`
+	Created   time.Time  `json:"created"`
+	Started   *time.Time `json:"started,omitempty"`
+	Finished  *time.Time `json:"finished,omitempty"`
+	Result    any        `json:"result,omitempty"`
+	Error     string     `json:"error,omitempty"`
 }
 
 func (j *job) snapshot() Snapshot {
 	s := Snapshot{
-		ID: j.id, Kind: j.kind, Tenant: j.tenant, Status: j.status, Threads: j.threads,
-		Created: j.created, Result: j.result, Error: j.err,
+		ID: j.id, Kind: j.kind, Tenant: j.tag.Tenant, RequestID: j.tag.RequestID,
+		Status: j.status, Threads: j.threads, Created: j.created, Result: j.result, Error: j.err,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -204,12 +216,13 @@ func (q *Queue) SetTenantLimit(n int) {
 // never blocks: a full queue returns ErrQueueFull and a draining queue
 // ErrDraining.
 func (q *Queue) Submit(kind string, threads int, timeout time.Duration, fn Func) (Snapshot, error) {
-	return q.SubmitTagged(kind, "", threads, timeout, fn)
+	return q.SubmitTagged(kind, Tag{}, threads, timeout, fn)
 }
 
-// SubmitTagged is Submit with a tenant tag for admission control and
-// accounting: a tenant at its SetTenantLimit quota gets ErrTenantLimit.
-func (q *Queue) SubmitTagged(kind, tenant string, threads int, timeout time.Duration, fn Func) (Snapshot, error) {
+// SubmitTagged is Submit with a tag: the tenant drives admission control
+// and accounting (a tenant at its SetTenantLimit quota gets
+// ErrTenantLimit), and the request id is carried on the job's snapshots.
+func (q *Queue) SubmitTagged(kind string, tag Tag, threads int, timeout time.Duration, fn Func) (Snapshot, error) {
 	if fn == nil {
 		return Snapshot{}, fmt.Errorf("jobs: nil job func")
 	}
@@ -218,19 +231,20 @@ func (q *Queue) SubmitTagged(kind, tenant string, threads int, timeout time.Dura
 	if q.draining {
 		return Snapshot{}, ErrDraining
 	}
-	if q.tenantCap > 0 && q.live[tenant] >= q.tenantCap {
+	if q.tenantCap > 0 && q.live[tag.Tenant] >= q.tenantCap {
 		return Snapshot{}, ErrTenantLimit
 	}
 	q.seq++
 	j := &job{
 		id:      fmt.Sprintf("%s-%d", kind, q.seq),
 		kind:    kind,
-		tenant:  tenant,
+		tag:     tag,
 		threads: q.sem.clamp(threads),
 		timeout: timeout,
 		fn:      fn,
 		status:  StatusPending,
 		created: time.Now(),
+		done:    make(chan struct{}),
 	}
 	select {
 	case q.pending <- j:
@@ -239,7 +253,7 @@ func (q *Queue) SubmitTagged(kind, tenant string, threads int, timeout time.Dura
 	}
 	q.jobs[j.id] = j
 	q.order = append(q.order, j.id)
-	q.live[tenant]++
+	q.live[tag.Tenant]++
 	return j.snapshot(), nil
 }
 
@@ -258,6 +272,27 @@ func (q *Queue) Get(id string) (Snapshot, bool) {
 	if !ok {
 		return Snapshot{}, false
 	}
+	return j.snapshot(), true
+}
+
+// Wait blocks until the job settles or ctx ends, then returns its
+// snapshot — terminal in the first case, whatever it is by then in the
+// second. It holds the job itself rather than its id, so a job evicted
+// from the history after it settles still answers. The bool is false
+// only for an id the queue does not know when Wait is called.
+func (q *Queue) Wait(ctx context.Context, id string) (Snapshot, bool) {
+	q.mu.Lock()
+	j, ok := q.jobs[id]
+	q.mu.Unlock()
+	if !ok {
+		return Snapshot{}, false
+	}
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return j.snapshot(), true
 }
 
@@ -305,14 +340,17 @@ func (q *Queue) cancelLocked(j *job) {
 }
 
 // settleLocked accounts j's transition into a terminal state: the
-// tenant's live count drops and the terminal history is re-bounded.
-// q.mu is held and j.status is already terminal.
+// tenant's live count drops, the job's waiters wake, and the terminal
+// history is re-bounded. It is the one place a job becomes terminal and
+// runs exactly once per job. q.mu is held and j.status is already
+// terminal.
 func (q *Queue) settleLocked(j *job) {
-	if n := q.live[j.tenant]; n > 1 {
-		q.live[j.tenant] = n - 1
+	if n := q.live[j.tag.Tenant]; n > 1 {
+		q.live[j.tag.Tenant] = n - 1
 	} else {
-		delete(q.live, j.tenant)
+		delete(q.live, j.tag.Tenant)
 	}
+	close(j.done)
 	q.evictLocked()
 }
 

@@ -10,23 +10,16 @@ import (
 	"time"
 )
 
-// await polls until the job reaches a terminal status or the deadline.
+// await waits until the job settles, failing the test after 10 s.
 func await(t *testing.T, q *Queue, id string) Snapshot {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		s, ok := q.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		if s.Status.Terminal() {
-			return s
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s, ok := q.Wait(ctx, id)
+	if !ok || !s.Status.Terminal() {
+		t.Fatalf("job %s never settled (known=%t, last: %+v)", id, ok, s)
 	}
-	s, _ := q.Get(id)
-	t.Fatalf("job %s stuck in %s", id, s.Status)
-	return Snapshot{}
+	return s
 }
 
 func TestLifecycleDone(t *testing.T) {

@@ -120,7 +120,7 @@ func TestCancelWhileRunningIgnoringContextSettlesCanceled(t *testing.T) {
 	}
 	close(release)
 
-	got := waitTerminal(t, q, snap.ID)
+	got := await(t, q, snap.ID)
 	if got.Status != StatusCanceled {
 		t.Fatalf("job settled as %s, want %s", got.Status, StatusCanceled)
 	}
@@ -149,7 +149,7 @@ func TestCancelWhileRunningWithError(t *testing.T) {
 	}
 	<-started
 	q.Cancel(snap.ID)
-	got := waitTerminal(t, q, snap.ID)
+	got := await(t, q, snap.ID)
 	if got.Status != StatusCanceled {
 		t.Fatalf("job settled as %s, want %s", got.Status, StatusCanceled)
 	}
@@ -173,7 +173,7 @@ func TestTenantLimit(t *testing.T) {
 	}
 	var first Snapshot
 	for i := 0; i < 2; i++ {
-		snap, err := q.SubmitTagged("hold", "alice", 1, 0, hold)
+		snap, err := q.SubmitTagged("hold", Tag{Tenant: "alice"}, 1, 0, hold)
 		if err != nil {
 			t.Fatalf("submit %d for alice: %v", i, err)
 		}
@@ -184,10 +184,10 @@ func TestTenantLimit(t *testing.T) {
 			t.Fatalf("snapshot tenant = %q, want alice", snap.Tenant)
 		}
 	}
-	if _, err := q.SubmitTagged("hold", "alice", 1, 0, hold); !errors.Is(err, ErrTenantLimit) {
+	if _, err := q.SubmitTagged("hold", Tag{Tenant: "alice"}, 1, 0, hold); !errors.Is(err, ErrTenantLimit) {
 		t.Fatalf("third alice submit = %v, want ErrTenantLimit", err)
 	}
-	if _, err := q.SubmitTagged("hold", "bob", 1, 0, hold); err != nil {
+	if _, err := q.SubmitTagged("hold", Tag{Tenant: "bob"}, 1, 0, hold); err != nil {
 		t.Fatalf("bob blocked by alice's quota: %v", err)
 	}
 	if n := q.TenantLive("alice"); n != 2 {
@@ -196,8 +196,8 @@ func TestTenantLimit(t *testing.T) {
 
 	// Freeing one slot re-admits the tenant.
 	q.Cancel(first.ID)
-	waitTerminal(t, q, first.ID)
-	if _, err := q.SubmitTagged("hold", "alice", 1, 0, hold); err != nil {
+	await(t, q, first.ID)
+	if _, err := q.SubmitTagged("hold", Tag{Tenant: "alice"}, 1, 0, hold); err != nil {
 		t.Fatalf("alice still blocked after a job settled: %v", err)
 	}
 	close(release)
@@ -226,24 +226,6 @@ func waitStatus(t *testing.T, q *Queue, id string, want Status) Snapshot {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s never reached %s (last: %+v, exists=%v)", id, want, snap, ok)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func waitTerminal(t *testing.T, q *Queue, id string) Snapshot {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, ok := q.Get(id)
-		if !ok {
-			t.Fatalf("job %s vanished while awaited", id)
-		}
-		if snap.Status.Terminal() {
-			return snap
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never settled (last: %+v)", id, snap)
 		}
 		time.Sleep(time.Millisecond)
 	}
