@@ -514,11 +514,11 @@ func (p DistProblem) distConfig(v Variant) (dist.Config, error) {
 	if err != nil {
 		return dist.Config{}, err
 	}
-	init := p.Init
-	if init == nil {
-		period := p.DomainN
-		init = func(x, y, z float64, comp int) float64 {
-			return kernel.SmoothAt(period, ivect.New(int(x), int(y), int(z)), comp)
+	period := p.DomainN
+	init := func(pt ivect.IntVect, c int) float64 { return kernel.SmoothAt(period, pt, c) }
+	if user := p.Init; user != nil {
+		init = func(pt ivect.IntVect, c int) float64 {
+			return user(float64(pt[0])+0.5, float64(pt[1])+0.5, float64(pt[2])+0.5, c)
 		}
 	}
 	return dist.Config{
@@ -529,9 +529,7 @@ func (p DistProblem) distConfig(v Variant) (dist.Config, error) {
 		Steps:   p.Steps,
 		Dt:      p.dt(),
 		Threads: p.Threads,
-		Init: func(pt ivect.IntVect, c int) float64 {
-			return init(float64(pt[0])+0.5, float64(pt[1])+0.5, float64(pt[2])+0.5, c)
-		},
+		Init:    init,
 	}, nil
 }
 

@@ -161,31 +161,48 @@ func (p *Plan) RemoteMessages() int {
 }
 
 // packRegion flattens f over r (reading at p+shift) in component-major,
-// x-fastest order — the payload layout unpackRegion reverses.
+// x-fastest order — the payload layout unpackRegion reverses. The
+// shifted region is checked against the FAB once, then appended one
+// x-row at a time. It panics if that region is not inside f.Box().
 func packRegion(f *fab.FAB, r box.Box, shift ivect.IntVect, out []float64) []float64 {
 	out = out[:0]
-	for c := 0; c < f.NComp(); c++ {
-		c := c
-		r.ForEach(func(p ivect.IntVect) {
-			out = append(out, f.Get(p.Add(shift), c))
-		})
-	}
+	forRows(f, r.ShiftVect(shift), "pack", func(row []float64) { out = append(out, row...) })
 	return out
 }
 
-// unpackRegion applies a packed payload into f at r.
+// unpackRegion applies a packed payload into f at r, one x-row per
+// copy. A payload of the wrong length is ErrProtocol; a region outside
+// f.Box() panics.
 func unpackRegion(f *fab.FAB, r box.Box, data []float64) error {
 	want := r.NumPts() * f.NComp()
 	if len(data) != want {
 		return fmt.Errorf("%w: payload has %d values, region %v needs %d", ErrProtocol, len(data), r, want)
 	}
-	i := 0
-	for c := 0; c < f.NComp(); c++ {
-		c := c
-		r.ForEach(func(p ivect.IntVect) {
-			f.Set(p, c, data[i])
-			i++
-		})
-	}
+	forRows(f, r, "unpack", func(row []float64) { data = data[copy(row, data):] })
 	return nil
+}
+
+// forRows visits the x-rows of f over r in payload order (component,
+// then z, then y), each as a slice of f's storage. r must lie inside
+// f.Box(): that is checked once, here, not per value.
+func forRows(f *fab.FAB, r box.Box, op string, fn func(row []float64)) {
+	if r.IsEmpty() {
+		return
+	}
+	fb := f.Box()
+	if !fb.ContainsBox(r) {
+		panic(fmt.Sprintf("dist: %s region %v outside %v", op, r, fb))
+	}
+	sy, sz, sc := f.Strides()
+	data := f.Data()
+	nx := r.Hi[0] - r.Lo[0] + 1
+	x0 := r.Lo[0] - fb.Lo[0]
+	for c := 0; c < f.NComp(); c++ {
+		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
+			for y := r.Lo[1]; y <= r.Hi[1]; y++ {
+				o := x0 + sy*(y-fb.Lo[1]) + sz*(z-fb.Lo[2]) + sc*c
+				fn(data[o : o+nx])
+			}
+		}
+	}
 }

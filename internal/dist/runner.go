@@ -8,7 +8,6 @@ import (
 
 	"stencilsched/internal/box"
 	"stencilsched/internal/fab"
-	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/variants"
 )
@@ -67,10 +66,7 @@ func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankRe
 			// Valid cells only — ghost cells start zero, exactly like
 			// layout.LevelData, so physical-boundary ghosts match the
 			// reference oracle bit for bit.
-			for c := 0; c < kernel.NComp; c++ {
-				c := c
-				b.ForEach(func(p ivect.IntVect) { f.Set(p, c, cfg.Init(p, c)) })
-			}
+			f.FillFunc(b, cfg.Init)
 		}
 		r.fabs[bi] = f
 		r.accs[bi] = fab.New(r.clipNonPeriodic(b.Grow((plan.HaloK-1)*kernel.NGhost)), kernel.NComp)

@@ -113,6 +113,26 @@ func (f *FAB) FillComp(c int, v float64) {
 	}
 }
 
+// FillFunc sets every component c of every point p of r to fn(p, c),
+// writing x-rows straight into storage: r is checked against the box
+// once, and no value goes through Set. It panics if r is not inside
+// f.Box(). Initial conditions go through it.
+func (f *FAB) FillFunc(r box.Box, fn func(p ivect.IntVect, c int) float64) {
+	if !f.bx.ContainsBox(r) {
+		panic(fmt.Sprintf("fab: fill region %v outside %v", r, f.bx))
+	}
+	for c := 0; c < f.ncomp; c++ {
+		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
+			for y := r.Lo[1]; y <= r.Hi[1]; y++ {
+				p := ivect.New(r.Lo[0], y, z)
+				for o := f.offset(p, c); p[0] <= r.Hi[0]; p[0], o = p[0]+1, o+1 {
+					f.data[o] = fn(p, c)
+				}
+			}
+		}
+	}
+}
+
 func (f *FAB) forRegion(r box.Box, fn func(off int)) {
 	r = r.Intersect(f.bx)
 	if r.IsEmpty() {

@@ -140,6 +140,49 @@ func TestFillAndComp(t *testing.T) {
 	}
 }
 
+func TestFillFunc(t *testing.T) {
+	fn := func(p ivect.IntVect, c int) float64 {
+		return float64(p[0]) + 10*float64(p[1]) + 100*float64(p[2]) + 1000*float64(c)
+	}
+	valid := box.NewSized(ivect.New(-1, 2, 0), ivect.New(3, 4, 5))
+	cases := []struct {
+		name   string
+		region box.Box
+	}{
+		{"sub-region", box.New(ivect.New(0, 3, 1), ivect.New(1, 5, 3))},
+		{"valid box", valid},
+		{"full box with ghosts", valid.Grow(2)},
+		{"empty region", box.Empty()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := New(valid.Grow(2), 2)
+			f.Fill(-7)
+			f.FillFunc(tc.region, fn)
+			for c := 0; c < 2; c++ {
+				c := c
+				f.Box().ForEach(func(p ivect.IntVect) {
+					want := -7.0
+					if tc.region.Contains(p) {
+						want = fn(p, c)
+					}
+					if got := f.Get(p, c); got != want {
+						t.Fatalf("at %v comp %d: %v, want %v", p, c, got, want)
+					}
+				})
+			}
+		})
+	}
+	t.Run("outside the box", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic")
+			}
+		}()
+		New(valid, 1).FillFunc(valid.Grow(1), fn)
+	})
+}
+
 func TestCopyFromIntersection(t *testing.T) {
 	src := New(box.Cube(4), 2)
 	rnd := rand.New(rand.NewSource(7))

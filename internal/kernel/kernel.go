@@ -174,11 +174,7 @@ func InitSmooth(phi0 *fab.FAB, period int) {
 	if period <= 0 {
 		panic(fmt.Sprintf("kernel: period %d must be positive", period))
 	}
-	phi0.Box().ForEach(func(p ivect.IntVect) {
-		for c := 0; c < NComp; c++ {
-			phi0.Set(p, c, SmoothAt(period, p, c))
-		}
-	})
+	phi0.FillFunc(phi0.Box(), func(p ivect.IntVect, c int) float64 { return SmoothAt(period, p, c) })
 }
 
 // InitSmoothFrozen fills phi0 like InitSmooth but with spatially
@@ -190,11 +186,7 @@ func InitSmoothFrozen(phi0 *fab.FAB, period int) {
 	if period <= 0 {
 		panic(fmt.Sprintf("kernel: period %d must be positive", period))
 	}
-	phi0.Box().ForEach(func(p ivect.IntVect) {
-		for c := 0; c < NComp; c++ {
-			phi0.Set(p, c, FrozenSmoothAt(period, p, c))
-		}
-	})
+	phi0.FillFunc(phi0.Box(), func(p ivect.IntVect, c int) float64 { return FrozenSmoothAt(period, p, c) })
 }
 
 // FrozenSmoothAt is the pointwise form of InitSmoothFrozen: SmoothAt

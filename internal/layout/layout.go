@@ -302,12 +302,7 @@ func (ld *LevelData) ForEachBox(threads int, fn func(i int, valid box.Box, f *fa
 // FillFromFunction sets every valid cell (not ghosts) of every box from the
 // pointwise function f(p, comp).
 func (ld *LevelData) FillFromFunction(threads int, f func(p ivect.IntVect, c int) float64) {
-	ld.ForEachBox(threads, func(i int, valid box.Box, fb *fab.FAB) {
-		for c := 0; c < ld.NComp; c++ {
-			c := c
-			valid.ForEach(func(p ivect.IntVect) { fb.Set(p, c, f(p, c)) })
-		}
-	})
+	ld.ForEachBox(threads, func(i int, valid box.Box, fb *fab.FAB) { fb.FillFunc(valid, f) })
 }
 
 // SumComp sums component c over all valid regions — a conserved quantity
