@@ -2,7 +2,12 @@
 // verify them against the reference kernel, execute them on the host with
 // real goroutine parallelism, model them on the paper's machines, or run
 // them distributed across ranks (in-process loopback, or one rank of a
-// real TCP mesh).
+// real TCP mesh). Three modes measure schedule sets through the autotuner
+// and print one table each: compare (interpreter vs generated vs
+// hand-written), temporal (the compiled (tile, K) grid with its wall-time
+// and traffic verdicts) and fft (the spectral K ladder and its crossover
+// against the best K4 temporal schedule). Every mode prints; none writes
+// a file.
 //
 // Usage examples:
 //
@@ -14,19 +19,17 @@
 //	stencilbench -variant "Baseline-CLO: P>=Box" -mode dist -domain 32 -n 16 -ranks 4 -halo 2 -steps 8
 //	stencilbench -variant "Baseline-CLO: P>=Box" -mode dist -domain 32 -n 16 -ranks 2 -halo 2 -steps 8 \
 //	    -dist-rank 0 -dist-addrs host0:9000,host1:9000
-//	stencilbench -variant "Shift-Fuse OT-4: P<Box" -n 16 -boxes 2 -json BENCH_shiftfuse.json
-//	stencilbench -mode temporal -n 64 -boxes 2 -threads 4 -reps 3 -json BENCH_temporal.json
-//	stencilbench -mode fft -n 64 -boxes 1 -threads 4 -reps 3 -json BENCH_fft_n64.json
+//	stencilbench -mode compare -n 32 -reps 3
+//	stencilbench -mode temporal -n 64 -boxes 2 -threads 4 -reps 3
+//	stencilbench -mode fft -n 64 -boxes 1 -threads 4 -reps 3
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"stencilsched"
@@ -54,10 +57,6 @@ type options struct {
 	distRank  int    // >= 0: run this one rank of a TCP mesh
 	distAddrs string // comma-separated host:port list, rank order
 
-	// jsonPath, when non-empty, appends a BENCH_*.json perf-trajectory
-	// record for the run (measured and dist modes).
-	jsonPath string
-
 	out io.Writer
 }
 
@@ -78,7 +77,6 @@ func main() {
 	flag.IntVar(&o.steps, "steps", 4, "time steps (dist mode)")
 	flag.IntVar(&o.distRank, "dist-rank", -1, "run this one rank of a TCP mesh (requires -dist-addrs)")
 	flag.StringVar(&o.distAddrs, "dist-addrs", "", "comma-separated host:port per rank, rank order (TCP mesh)")
-	flag.StringVar(&o.jsonPath, "json", "", "write a BENCH_*.json perf record to this path")
 	flag.Parse()
 	o.out = os.Stdout
 	if err := run(o); err != nil {
@@ -87,51 +85,12 @@ func main() {
 	}
 }
 
-// benchRecord is the BENCH_*.json perf-trajectory schema: one line of
-// the repository's performance history, comparable across commits.
-type benchRecord struct {
-	Variant  string `json:"variant"`
-	Mode     string `json:"mode"`
-	BoxN     int    `json:"box_n"`
-	NumBoxes int    `json:"num_boxes"`
-	DomainN  int    `json:"domain_n,omitempty"`
-	Ranks    int    `json:"ranks,omitempty"`
-	HaloK    int    `json:"halo_k,omitempty"`
-	Steps    int    `json:"steps,omitempty"`
-	Threads  int    `json:"threads"`
-	Reps     int    `json:"reps"`
-
-	Seconds      float64 `json:"seconds"`
-	NsPerCell    float64 `json:"ns_per_cell"`
-	MCellsPerSec float64 `json:"mcells_per_sec"`
-	AllocsPerOp  uint64  `json:"allocs_per_op"`
-	BytesPerOp   uint64  `json:"bytes_per_op"`
-
-	Messages     int64   `json:"messages,omitempty"`
-	RemoteBytes  int64   `json:"remote_bytes,omitempty"`
-	OverlapRatio float64 `json:"overlap_ratio,omitempty"`
-
-	PredictedStepSec float64 `json:"predicted_step_sec,omitempty"`
-	MeasuredStepSec  float64 `json:"measured_step_sec,omitempty"`
-}
-
-func writeRecord(path string, rec benchRecord) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// memCounters samples the allocation counters; the difference of two
-// samples divided by reps gives allocs/op in the benchstat sense.
-func memCounters() (mallocs, bytes uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs, ms.TotalAlloc
+// tunedModes are the modes that measure a schedule set through the
+// autotuner and answer one table.
+var tunedModes = map[string]func(options) (*report.Table, error){
+	"compare":  compareTable,
+	"temporal": temporalTable,
+	"fft":      fftTable,
 }
 
 func run(o options) error {
@@ -152,14 +111,12 @@ func run(o options) error {
 			len(stencilsched.Variants()), o.n)
 		return nil
 	}
-	if o.mode == "compare" {
-		return runCompare(o)
-	}
-	if o.mode == "temporal" {
-		return runTemporal(o)
-	}
-	if o.mode == "fft" {
-		return runFFT(o)
+	if table, ok := tunedModes[o.mode]; ok {
+		t, err := table(o)
+		if err != nil {
+			return err
+		}
+		return t.Render(o.out)
 	}
 	if o.name == "" {
 		return fmt.Errorf("need -variant, -list or -verify")
@@ -213,12 +170,10 @@ func run(o options) error {
 
 func runMeasured(o options, v stencilsched.Variant) error {
 	p := stencilsched.Problem{BoxN: o.n, NumBoxes: o.boxes, Threads: o.threads}
-	m0, b0 := memCounters()
 	res, err := stencilsched.RunMeasured(v, p, o.reps)
 	if err != nil {
 		return err
 	}
-	m1, b1 := memCounters()
 	fmt.Fprintf(o.out, "%s\n", v.Name())
 	fmt.Fprintf(o.out, "  problem:    %d boxes of %d^3 (%d cells), %d threads, %d reps\n",
 		o.boxes, o.n, res.Problem.Cells(), o.threads, o.reps)
@@ -232,19 +187,7 @@ func runMeasured(o options, v stencilsched.Variant) error {
 			res.Stats.Wavefront.Items, res.Stats.Wavefront.Wavefronts,
 			res.Stats.Wavefront.Efficiency(o.threads), o.threads)
 	}
-	reps := uint64(max(o.reps, 1))
-	rec := benchRecord{
-		Variant: v.Name(), Mode: "measured",
-		BoxN: o.n, NumBoxes: o.boxes, Threads: o.threads, Reps: o.reps,
-		Seconds:      res.Seconds,
-		MCellsPerSec: res.MCellsPerSec,
-		AllocsPerOp:  (m1 - m0) / reps,
-		BytesPerOp:   (b1 - b0) / reps,
-	}
-	if cells := res.Problem.Cells(); cells > 0 {
-		rec.NsPerCell = res.Seconds * 1e9 / float64(cells)
-	}
-	return writeRecord(o.jsonPath, rec)
+	return nil
 }
 
 func runDist(o options, v stencilsched.Variant) error {
@@ -275,12 +218,10 @@ func runDist(o options, v stencilsched.Variant) error {
 			rr.Messages, rr.Bytes, rr.Retries, rr.OverlapRatio)
 		return nil
 	}
-	m0, b0 := memCounters()
 	res, err := stencilsched.SolveDistributed(v, p)
 	if err != nil {
 		return err
 	}
-	m1, b1 := memCounters()
 	fmt.Fprintf(o.out, "%s (loopback, %d ranks)\n", v.Name(), o.ranks)
 	fmt.Fprintf(o.out, "  problem:   %d^3 domain, %d^3 boxes, halo K=%d, %d steps, %d threads/rank\n",
 		o.domain, o.n, o.haloK, o.steps, o.threads)
@@ -289,30 +230,12 @@ func runDist(o options, v stencilsched.Variant) error {
 	fmt.Fprintf(o.out, "  exchange:  %d msgs, %d B, %d retries, overlap %.2f\n",
 		res.Messages, res.Bytes, res.Retries, res.OverlapRatio)
 	fmt.Fprintf(o.out, "  recompute: %d ghost-shell cell updates\n", res.RecomputedCells)
-	rec := benchRecord{
-		Variant: v.Name(), Mode: "dist",
-		BoxN: o.n, DomainN: o.domain, Ranks: o.ranks, HaloK: o.haloK,
-		Steps: o.steps, Threads: o.threads, Reps: 1,
-		Seconds:         res.Seconds,
-		MCellsPerSec:    res.MCellsPerSec,
-		MeasuredStepSec: res.MeasuredStepSec,
-		Messages:        res.Messages,
-		RemoteBytes:     res.Bytes,
-		OverlapRatio:    res.OverlapRatio,
-		AllocsPerOp:     m1 - m0,
-		BytesPerOp:      b1 - b0,
-	}
-	cells := float64(o.domain) * float64(o.domain) * float64(o.domain) * float64(o.steps)
-	if cells > 0 {
-		rec.NsPerCell = res.Seconds * 1e9 / cells
-	}
 	// The cluster model's prediction next to the measurement, on the
-	// first study machine over Gemini — a fixed reference point so the
-	// trajectory is comparable across commits.
+	// first study machine over Gemini — a fixed reference point, so runs
+	// compare across commits.
 	if pred, err := stencilsched.PredictDistributedStep(v, p, stencilsched.Machines()[0], stencilsched.CrayGemini()); err == nil {
-		rec.PredictedStepSec = pred.StepSec
 		fmt.Fprintf(o.out, "  model:     %.4fs/step predicted (%s over %s)\n",
 			pred.StepSec, stencilsched.Machines()[0].Name, stencilsched.CrayGemini().Name)
 	}
-	return writeRecord(o.jsonPath, rec)
+	return nil
 }

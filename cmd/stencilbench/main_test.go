@@ -2,13 +2,15 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"math"
 	"net"
-	"os"
-	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"stencilsched/internal/report"
 )
 
 // testOpts returns options with the shared defaults of the tests:
@@ -43,12 +45,46 @@ func TestRunVerify(t *testing.T) {
 	}
 }
 
+// figure returns the number the first match of pattern's one group
+// captures in out, failing the test when there is none.
+func figure(t *testing.T, out, pattern string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(pattern).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("output has no %q:\n%s", pattern, out)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestRunMeasured(t *testing.T) {
 	o := testOpts()
 	o.name = "Shift-Fuse OT-4: P<Box"
 	o.threads = 2
 	if err := run(o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunMeasuredJSONRecord checks the measured record, now the printed
+// summary: the variant line and a positive time and throughput.
+func TestRunMeasuredJSONRecord(t *testing.T) {
+	o := testOpts()
+	o.name = "Baseline-CLO: P>=Box"
+	buf := &bytes.Buffer{}
+	o.out = buf
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.HasPrefix(out, o.name+"\n") {
+		t.Fatalf("output misnames the variant:\n%s", out)
+	}
+	if figure(t, out, `time: +([0-9.]+)s min`) <= 0 || figure(t, out, `throughput: ([0-9.]+) Mcells/s`) <= 0 {
+		t.Fatalf("no time or throughput:\n%s", out)
 	}
 }
 
@@ -139,8 +175,10 @@ func TestRunDistLoopback(t *testing.T) {
 	}
 }
 
+// TestRunDistJSONRecord checks the dist record, now the printed summary:
+// the run's description, its perf figures, and the distributed figures
+// (messages sent and the model's per-step prediction).
 func TestRunDistJSONRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_dist.json")
 	o := testOpts()
 	o.name = "Shift-Fuse-CLO: P>=Box"
 	o.mode = "dist"
@@ -148,47 +186,20 @@ func TestRunDistJSONRecord(t *testing.T) {
 	o.ranks = 2
 	o.haloK = 2
 	o.steps = 2
-	o.jsonPath = path
+	buf := &bytes.Buffer{}
+	o.out = buf
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	out := buf.String()
+	if !strings.HasPrefix(out, o.name+" (loopback, 2 ranks)") || !strings.Contains(out, "halo K=2") {
+		t.Fatalf("output misdescribes the run:\n%s", out)
 	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record is not valid JSON: %v\n%s", err, data)
+	if figure(t, out, `time: +([0-9.]+)s`) <= 0 || figure(t, out, `([0-9.]+) Mcells/s`) <= 0 {
+		t.Fatalf("missing perf figures:\n%s", out)
 	}
-	if rec.Variant != o.name || rec.Mode != "dist" || rec.Ranks != 2 || rec.HaloK != 2 {
-		t.Fatalf("record misdescribes the run: %+v", rec)
-	}
-	if rec.Seconds <= 0 || rec.NsPerCell <= 0 || rec.MCellsPerSec <= 0 {
-		t.Fatalf("record missing perf figures: %+v", rec)
-	}
-	if rec.Messages == 0 || rec.PredictedStepSec <= 0 {
-		t.Fatalf("record missing distributed figures: %+v", rec)
-	}
-}
-
-func TestRunMeasuredJSONRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_measured.json")
-	o := testOpts()
-	o.name = "Baseline-CLO: P>=Box"
-	o.jsonPath = path
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	var rec benchRecord
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Mode != "measured" || rec.NsPerCell <= 0 {
-		t.Fatalf("bad measured record: %+v", rec)
+	if figure(t, out, `exchange: +([0-9]+) msgs`) == 0 || figure(t, out, `model: +([0-9.e-]+)s/step predicted`) <= 0 {
+		t.Fatalf("missing distributed figures:\n%s", out)
 	}
 }
 
@@ -232,95 +243,113 @@ func TestRunDistTCPPair(t *testing.T) {
 	}
 }
 
-func TestRunTemporalJSONRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_temporal.json")
+// column returns column i of tb's rows, parsed as numbers; "-" is NaN.
+func column(t *testing.T, tb *report.Table, i int) []float64 {
+	t.Helper()
+	out := make([]float64, len(tb.Rows))
+	for r, row := range tb.Rows {
+		if row[i] == "-" {
+			out[r] = math.NaN()
+			continue
+		}
+		v, err := strconv.ParseFloat(row[i], 64)
+		if err != nil {
+			t.Fatalf("row %v, column %q: %v", row, tb.Header[i], err)
+		}
+		out[r] = v
+	}
+	return out
+}
+
+// checkSweep checks the table of a K sweep: every row has a per-step
+// time, a sweep no shorter than it, and the K set includes want.
+func checkSweep(t *testing.T, tb *report.Table, want []int) (ks []int) {
+	t.Helper()
+	sweep, step := column(t, tb, 2), column(t, tb, 3)
+	seen := map[int]bool{}
+	for i, k := range column(t, tb, 1) {
+		if step[i] <= 0 || sweep[i] < step[i] {
+			t.Fatalf("bad timing in row %v", tb.Rows[i])
+		}
+		seen[int(k)] = true
+		ks = append(ks, int(k))
+	}
+	for _, k := range want {
+		if !seen[k] {
+			t.Fatalf("sweep misses K=%d:\n%s", k, tb)
+		}
+	}
+	return ks
+}
+
+func TestRunTemporalTable(t *testing.T) {
 	o := testOpts()
 	o.mode = "temporal"
 	o.mach = "desktop"
-	o.jsonPath = path
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	var rec temporalRecord
-	data, err := os.ReadFile(path)
+	tb, err := temporalTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record is not valid JSON: %v\n%s", err, data)
-	}
-	if rec.Mode != "temporal" || rec.BoxN != o.n {
-		t.Fatalf("record misdescribes the run: %+v", rec)
-	}
-	// The grid must span the compiled K axis with a K=1 baseline and
-	// per-point figures in both currencies.
-	ks := map[int]bool{}
-	for _, pt := range rec.Points {
-		ks[pt.K] = true
-		if pt.StepSeconds <= 0 || pt.SweepSeconds < pt.StepSeconds {
-			t.Fatalf("bad timing in point %+v", pt)
-		}
-		if pt.ModelBytesPerCellStep <= 0 {
-			t.Fatalf("missing traffic model in point %+v", pt)
+	// The grid spans the compiled K axis with a K=1 baseline and per-row
+	// figures in both currencies, wall time and modeled traffic.
+	checkSweep(t, tb, []int{1, 2, 4})
+	for i, b := range column(t, tb, 5) {
+		if !(b > 0) {
+			t.Fatalf("missing traffic model in row %v", tb.Rows[i])
 		}
 	}
-	for _, k := range []int{1, 2, 4} {
-		if !ks[k] {
-			t.Fatalf("grid misses K=%d: %+v", k, rec.Points)
+	if figure(t, tb.Note, `deep speedup ([0-9.]+)x`) <= 0 || figure(t, tb.Note, `([0-9.]+)x under best K1`) <= 0 {
+		t.Fatalf("missing verdicts: %s", tb.Note)
+	}
+	for _, want := range []string{"best: ", "best K1: ", "traffic: "} {
+		if !strings.Contains(tb.Note, want) {
+			t.Fatalf("note misses %q: %s", want, tb.Note)
 		}
-	}
-	if rec.BestK1 == "" || rec.Best == "" || rec.DeepSpeedup <= 0 {
-		t.Fatalf("missing wall-time verdict: %+v", rec)
-	}
-	if rec.BestTraffic == "" || rec.TrafficDeepAdvantage <= 0 {
-		t.Fatalf("missing traffic verdict: %+v", rec)
 	}
 }
 
-// TestRunFFTJSONRecord smoke-tests the spectral crossover mode on a
-// tiny box: the record must span the spectral K ladder, carry a K4
-// temporal baseline, and model predictions on every point. (On an 8^3
+// TestRunFFTTable smoke-tests the spectral crossover mode on a tiny box:
+// the table must span the spectral K ladder, carry a K4 temporal
+// baseline, and a model prediction on every spectral row. (On an 8^3
 // box the measured crossover may land anywhere; N in {64, 96} is where
 // the verdict matters, see EXPERIMENTS.md.)
-func TestRunFFTJSONRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fft.json")
+func TestRunFFTTable(t *testing.T) {
 	o := testOpts()
 	o.mode = "fft"
 	o.mach = "desktop"
-	o.jsonPath = path
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	var rec fftRecord
-	data, err := os.ReadFile(path)
+	tb, err := fftTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record is not valid JSON: %v\n%s", err, data)
-	}
-	if rec.Mode != "fft" || rec.BoxN != o.n {
-		t.Fatalf("record misdescribes the run: %+v", rec)
-	}
-	ks := map[int]bool{}
-	for _, pt := range rec.Points {
-		ks[pt.K] = true
-		if pt.StepSeconds <= 0 || pt.SweepSeconds < pt.StepSeconds {
-			t.Fatalf("bad timing in point %+v", pt)
-		}
-		if pt.ModelStepSeconds <= 0 {
-			t.Fatalf("missing model prediction in point %+v", pt)
+	ks := checkSweep(t, tb, []int{1, 2, 4, 8, 16})
+	model := column(t, tb, 5)
+	for i, row := range tb.Rows {
+		spectral := strings.Contains(row[0], "spectral")
+		if spectral != (model[i] > 0) || (!spectral && ks[i] != 4) {
+			t.Fatalf("row %v: want a model s/step on spectral rows only, K4 on the others", row)
 		}
 	}
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		if !ks[k] {
-			t.Fatalf("spectral ladder misses K=%d: %+v", k, rec.Points)
+	if !strings.Contains(tb.Note, "baseline: Temporal K4") || figure(t, tb.Note, `\(([0-9.e-]+) s/step\)`) <= 0 ||
+		!strings.Contains(tb.Note, "crossover: ") || !strings.Contains(tb.Note, "model on ") {
+		t.Fatalf("note misses the baseline or crossover: %s", tb.Note)
+	}
+}
+
+// TestRunCompareTable runs the compare mode end to end on the smallest
+// box every compiled family's tile fits.
+func TestRunCompareTable(t *testing.T) {
+	o := testOpts()
+	o.mode = "compare"
+	o.n = 16
+	buf := &bytes.Buffer{}
+	o.out = buf
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range compareTriples() {
+		row := regexp.MustCompile(`(?m)^` + tr.family + ` .*$`).FindString(buf.String())
+		if f := strings.Fields(row); len(f) != 6 || f[2] == "-" {
+			t.Fatalf("no %s row with a generated time:\n%s", tr.family, buf)
 		}
-	}
-	if rec.BestTemporal == "" || rec.BestTemporalStepSec <= 0 {
-		t.Fatalf("missing K4 temporal baseline: %+v", rec)
-	}
-	if rec.ModelMachine == "" {
-		t.Fatalf("missing model machine: %+v", rec)
 	}
 }

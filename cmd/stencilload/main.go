@@ -13,11 +13,14 @@
 // throttled, back off, and retry — they are the service working as
 // designed, not errors.
 //
+// The run ends with one summary line — requests, errors, throttles,
+// fleet re-placements, synchronous answers, throughput and latency
+// percentiles — and exits non-zero if any request failed.
+//
 // Usage:
 //
 //	stencilload -url http://127.0.0.1:8754 -duration 10s -concurrency 8
-//	stencilload -url http://127.0.0.1:8754 -kind autotune -tenants 4 \
-//	    -json BENCH_fleet_load.json
+//	stencilload -url http://127.0.0.1:8754 -kind autotune -tenants 4
 package main
 
 import (
@@ -46,7 +49,6 @@ type options struct {
 	domainN     int
 	steps       int
 	threads     int
-	jsonPath    string
 	out         io.Writer
 }
 
@@ -60,38 +62,19 @@ func main() {
 	flag.IntVar(&o.domainN, "n", 16, "solve domain edge")
 	flag.IntVar(&o.steps, "steps", 50, "solve time steps")
 	flag.IntVar(&o.threads, "threads", 1, "threads requested per job")
-	flag.StringVar(&o.jsonPath, "json", "", "write a BENCH_*.json perf record to this path")
 	flag.Parse()
 	o.out = os.Stdout
-	if err := run(o); err != nil {
+	if _, err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "stencilload:", err)
 		os.Exit(1)
 	}
 }
 
-// benchRecord is the perf-trajectory record one load run appends, in
-// the same shape family as stencilbench's BENCH_*.json files.
-type benchRecord struct {
-	Mode        string  `json:"mode"` // "serve-load"
-	URL         string  `json:"url"`
-	Kind        string  `json:"kind"`
-	Concurrency int     `json:"concurrency"`
-	Tenants     int     `json:"tenants"`
-	DomainN     int     `json:"domain_n,omitempty"`
-	Steps       int     `json:"steps,omitempty"`
-	DurationSec float64 `json:"duration_sec"`
-
-	Requests     int64   `json:"requests"`
-	Errors       int64   `json:"errors"`
-	Throttled    int64   `json:"throttled"`
-	Replacements int64   `json:"replacements"`
-	SyncAnswers  int64   `json:"sync_answers"`
-	RPS          float64 `json:"requests_per_sec"`
-
-	LatencyMeanSec float64 `json:"latency_mean_sec"`
-	LatencyP50Sec  float64 `json:"latency_p50_sec"`
-	LatencyP99Sec  float64 `json:"latency_p99_sec"`
-	LatencyMaxSec  float64 `json:"latency_max_sec"`
+// tally is what one load run counted: the summary line prints it and
+// run returns it.
+type tally struct {
+	requests, errors, throttled, replacements, syncAnswers int64
+	rps, p50Sec, p99Sec                                    float64
 }
 
 // loadStats accumulates across workers.
@@ -127,12 +110,12 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-func run(o options) error {
+func run(o options) (tally, error) {
 	if o.concurrency < 1 {
-		return fmt.Errorf("concurrency %d invalid: must be >= 1", o.concurrency)
+		return tally{}, fmt.Errorf("concurrency %d invalid: must be >= 1", o.concurrency)
 	}
 	if o.kind != "solve" && o.kind != "autotune" {
-		return fmt.Errorf("unknown kind %q (solve, autotune)", o.kind)
+		return tally{}, fmt.Errorf("unknown kind %q (solve, autotune)", o.kind)
 	}
 	base := strings.TrimRight(o.url, "/")
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: o.concurrency}}
@@ -153,46 +136,29 @@ func run(o options) error {
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	st.mu.Lock()
-	lats := st.latencies
-	st.mu.Unlock()
+	lats := st.latencies // the workers are done
 	sort.Float64s(lats)
-	var sum float64
-	for _, v := range lats {
-		sum += v
-	}
-	rec := benchRecord{
-		Mode: "serve-load", URL: base, Kind: o.kind,
-		Concurrency: o.concurrency, Tenants: o.tenants,
-		DomainN: o.domainN, Steps: o.steps,
-		DurationSec:   elapsed,
-		Requests:      st.requests.Load(),
-		Errors:        st.errors.Load(),
-		Throttled:     st.throttled.Load(),
-		Replacements:  st.replacements.Load(),
-		SyncAnswers:   st.syncAnswers.Load(),
-		LatencyMaxSec: quantile(lats, 1),
-		LatencyP50Sec: quantile(lats, 0.50),
-		LatencyP99Sec: quantile(lats, 0.99),
+	tl := tally{
+		requests:     st.requests.Load(),
+		errors:       st.errors.Load(),
+		throttled:    st.throttled.Load(),
+		replacements: st.replacements.Load(),
+		syncAnswers:  st.syncAnswers.Load(),
+		p50Sec:       quantile(lats, 0.50),
+		p99Sec:       quantile(lats, 0.99),
 	}
 	if elapsed > 0 {
-		rec.RPS = float64(rec.Requests) / elapsed
+		tl.rps = float64(tl.requests) / elapsed
 	}
-	if len(lats) > 0 {
-		rec.LatencyMeanSec = sum / float64(len(lats))
+	fmt.Fprintf(o.out, "stencilload: %s %s x%d for %.1fs: %d ok, %d errors, %d throttled, %d replacements, %d sync, %.1f req/s, p50 %.1fms, p99 %.1fms\n",
+		o.kind, base, o.concurrency, elapsed, tl.requests, tl.errors, tl.throttled, tl.replacements, tl.syncAnswers,
+		tl.rps, tl.p50Sec*1e3, tl.p99Sec*1e3)
+	if tl.errors > 0 {
+		// A load run that dropped requests must fail loudly: CI gates on
+		// the exit code.
+		return tl, fmt.Errorf("%d of %d requests failed", tl.errors, tl.errors+tl.requests)
 	}
-	fmt.Fprintf(o.out, "stencilload: %s %s x%d for %.1fs: %d ok, %d errors, %d throttled, %.1f req/s, p50 %.1fms, p99 %.1fms\n",
-		o.kind, base, o.concurrency, elapsed, rec.Requests, rec.Errors, rec.Throttled,
-		rec.RPS, rec.LatencyP50Sec*1e3, rec.LatencyP99Sec*1e3)
-	if err := writeRecord(o.jsonPath, rec); err != nil {
-		return err
-	}
-	if rec.Errors > 0 {
-		// A load run that dropped requests must fail loudly (CI gates on
-		// it) — but only after the record is on disk for the post-mortem.
-		return fmt.Errorf("%d of %d requests failed", rec.Errors, rec.Errors+rec.Requests)
-	}
-	return nil
+	return tl, nil
 }
 
 // worker submits and completes requests until ctx expires. The body is
@@ -364,15 +330,4 @@ func oneRequest(ctx context.Context, hc *http.Client, base, path, tenant, body s
 			return outcome{}
 		}
 	}
-}
-
-func writeRecord(path string, rec benchRecord) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,13 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,31 +95,25 @@ func TestLoadRunHappyPath(t *testing.T) {
 	defer ts.Close()
 
 	o := loadOpts(ts.URL)
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	o.jsonPath = path
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	out := &strings.Builder{}
+	o.out = out
+	tl, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("bad BENCH record %q: %v", data, err)
+	if tl.requests == 0 || tl.errors != 0 {
+		t.Fatalf("requests=%d errors=%d, want >0 and 0", tl.requests, tl.errors)
 	}
-	if rec.Mode != "serve-load" || rec.Kind != "solve" || rec.Concurrency != 3 {
-		t.Fatalf("record header wrong: %+v", rec)
-	}
-	if rec.Requests == 0 || rec.Errors != 0 {
-		t.Fatalf("requests=%d errors=%d, want >0 and 0", rec.Requests, rec.Errors)
-	}
-	if rec.RPS <= 0 || rec.LatencyP50Sec <= 0 || rec.LatencyP99Sec < rec.LatencyP50Sec {
-		t.Fatalf("stats implausible: %+v", rec)
+	if tl.rps <= 0 || tl.p50Sec <= 0 || tl.p99Sec < tl.p50Sec {
+		t.Fatalf("stats implausible: %+v", tl)
 	}
 	// The fake reports one replacement per completed job.
-	if rec.Replacements != rec.Requests {
-		t.Fatalf("replacements=%d, want %d", rec.Replacements, rec.Requests)
+	if tl.replacements != tl.requests || tl.syncAnswers != 0 {
+		t.Fatalf("replacements=%d sync=%d, want %d and 0", tl.replacements, tl.syncAnswers, tl.requests)
+	}
+	if want := fmt.Sprintf("solve %s x3 ", ts.URL); !strings.Contains(out.String(), want) ||
+		!strings.Contains(out.String(), fmt.Sprintf(" %d ok, 0 errors", tl.requests)) {
+		t.Fatalf("summary line %q misdescribes the run", out)
 	}
 }
 
@@ -134,21 +125,15 @@ func TestLoadCountsThrottlesNotErrors(t *testing.T) {
 
 	o := loadOpts(ts.URL)
 	o.concurrency = 2
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	o.jsonPath = path
-	if err := run(o); err != nil {
+	tl, err := run(o)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var rec benchRecord
-	data, _ := os.ReadFile(path)
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
+	if tl.throttled != 4 {
+		t.Fatalf("throttled=%d, want 4", tl.throttled)
 	}
-	if rec.Throttled != 4 {
-		t.Fatalf("throttled=%d, want 4", rec.Throttled)
-	}
-	if rec.Errors != 0 {
-		t.Fatalf("throttles counted as errors: %+v", rec)
+	if tl.errors != 0 {
+		t.Fatalf("throttles counted as errors: %+v", tl)
 	}
 }
 
@@ -161,8 +146,29 @@ func TestLoadSyncAnswers(t *testing.T) {
 	o := loadOpts(ts.URL)
 	o.kind = "autotune"
 	o.duration = 100 * time.Millisecond
-	if err := run(o); err != nil {
+	tl, err := run(o)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if tl.requests == 0 || tl.syncAnswers != tl.requests {
+		t.Fatalf("requests=%d sync=%d, want every request answered at submit", tl.requests, tl.syncAnswers)
+	}
+}
+
+// TestLoadFailsOnDroppedRequest: one failed request makes run fail, the
+// exit code the fleet smoke gate reads, and the tally still counts it.
+func TestLoadFailsOnDroppedRequest(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+
+	o := loadOpts(ts.URL)
+	o.concurrency = 1
+	o.duration = 50 * time.Millisecond
+	tl, err := run(o)
+	if err == nil || tl.errors == 0 || tl.requests != 0 {
+		t.Fatalf("run over a failing server: %v, %+v; want an error and the failures tallied", err, tl)
 	}
 }
 
@@ -174,7 +180,7 @@ func TestLoadCancelsInFlightJobAtDeadline(t *testing.T) {
 	o := loadOpts(ts.URL)
 	o.concurrency = 1
 	o.duration = 100 * time.Millisecond
-	if err := run(o); err != nil {
+	if _, err := run(o); err != nil {
 		t.Fatal(err)
 	}
 	if f.canceled.Load() == 0 {
@@ -183,12 +189,12 @@ func TestLoadCancelsInFlightJobAtDeadline(t *testing.T) {
 }
 
 func TestLoadRejectsBadOptions(t *testing.T) {
-	if err := run(options{concurrency: 0}); err == nil {
+	if _, err := run(options{concurrency: 0}); err == nil {
 		t.Fatal("concurrency 0 accepted")
 	}
 	o := loadOpts("http://127.0.0.1:1")
 	o.kind = "nonsense"
-	if err := run(o); err == nil {
+	if _, err := run(o); err == nil {
 		t.Fatal("bad kind accepted")
 	}
 }

@@ -61,6 +61,7 @@ func newCoordinator(cfg coordConfig) (*coordServer, error) {
 		return nil, err
 	}
 	s := &coordServer{node: n, co: co}
+	n.peers = co.Peers
 	s.placements = s.reg.Counter("stencilserved_fleet_placements_total",
 		"requests placed onto the fleet")
 	s.syncAnswers = s.reg.Counter("stencilserved_fleet_sync_answers_total",
@@ -78,7 +79,6 @@ func newCoordinator(cfg coordConfig) (*coordServer, error) {
 	s.handle("POST /v1/autotune", s.place)
 	s.handle("GET /v1/fleet", s.handleFleet)
 	s.handle("GET /metrics", s.handleMetrics)
-	s.handle("GET /healthz", s.handleHealthz)
 	co.Start()
 	return s, nil
 }
@@ -222,7 +222,7 @@ func (s *coordServer) handleFleet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ---- metrics, health -----------------------------------------------------
+// ---- GET /metrics -------------------------------------------------------
 
 func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, p := range s.co.Peers() {
@@ -239,29 +239,4 @@ func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"typed transport failures observed on this peer", lbl).Set(float64(p.Failures))
 	}
 	s.writeMetrics(w)
-}
-
-type coordHealthResponse struct {
-	Status       string     `json:"status"`
-	Role         string     `json:"role"`
-	UptimeSec    float64    `json:"uptime_sec"`
-	Queue        jobs.Stats `json:"queue"`
-	PeersHealthy int        `json:"peers_healthy"`
-	PeersTotal   int        `json:"peers_total"`
-}
-
-func (s *coordServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	peers := s.co.Peers()
-	healthy := 0
-	for _, p := range peers {
-		if p.Healthy {
-			healthy++
-		}
-	}
-	writeJSON(w, http.StatusOK, coordHealthResponse{
-		Status: "ok", Role: "coordinator",
-		UptimeSec:    time.Since(s.start).Seconds(),
-		Queue:        s.queue.Stats(),
-		PeersHealthy: healthy, PeersTotal: len(peers),
-	})
 }

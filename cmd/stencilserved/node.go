@@ -30,9 +30,9 @@ type nodeConfig struct {
 
 // node is the skeleton under both roles: the queue with its admission
 // control, the tunecache and its replication endpoints, the instrumented
-// router, job listing, waiting and cancellation, and the metrics
-// write-out. server and coordServer embed it and add only what is
-// theirs; nothing here asks which role it serves.
+// router, job listing, waiting and cancellation, /healthz, and the
+// metrics write-out. server and coordServer embed it and add only what
+// is theirs; only /healthz asks which role it serves, through peers.
 type node struct {
 	nodeConfig
 	queue *jobs.Queue
@@ -44,6 +44,8 @@ type node struct {
 	// still waiting then answers at once (see endWaits).
 	closing  context.Context
 	shutdown context.CancelFunc
+	// peers lists the fleet a coordinator places onto; nil on a peer.
+	peers func() []fleet.PeerStatus
 }
 
 // newNode builds the queue (threadBudget tokens shared by running jobs),
@@ -78,6 +80,7 @@ func newNode(cfg nodeConfig, threadBudget int) (*node, error) {
 	n.handle("DELETE /v1/jobs/{id}", n.handleJobCancel)
 	n.handle("POST /v1/cache/get", n.handleCacheGet)
 	n.handle("POST /v1/cache/put", n.handleCachePut)
+	n.handle("GET /healthz", n.handleHealthz)
 	return n, nil
 }
 
@@ -345,6 +348,48 @@ func (n *node) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		OK bool `json:"ok"`
 	}{true})
+}
+
+// ---- GET /healthz --------------------------------------------------------
+
+// healthResponse is the /healthz body of both roles. Its status code is
+// always 200: the fleet prober and the benchmark harness read only that,
+// the body is for people.
+type healthResponse struct {
+	Status       string     `json:"status"`
+	Role         string     `json:"role"` // peer | coordinator
+	UptimeSec    float64    `json:"uptime_sec"`
+	Queue        jobs.Stats `json:"queue"`
+	CacheEntries int        `json:"cache_entries"`
+	CacheDir     string     `json:"cache_dir,omitempty"`
+	// Coordinator only: the peers its last probe found healthy, of all.
+	PeersHealthy *int `json:"peers_healthy,omitempty"`
+	PeersTotal   *int `json:"peers_total,omitempty"`
+}
+
+func (n *node) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	h := healthResponse{
+		Status:    "ok",
+		Role:      "peer",
+		UptimeSec: time.Since(n.start).Seconds(),
+		Queue:     n.queue.Stats(),
+	}
+	if n.cache != nil {
+		h.CacheEntries = n.cache.Len()
+		h.CacheDir = n.cache.Dir()
+	}
+	if n.peers != nil {
+		peers := n.peers()
+		healthy := 0
+		for _, p := range peers {
+			if p.Healthy {
+				healthy++
+			}
+		}
+		total := len(peers)
+		h.Role, h.PeersHealthy, h.PeersTotal = "coordinator", &healthy, &total
+	}
+	writeJSON(w, http.StatusOK, h)
 }
 
 // ---- GET /metrics --------------------------------------------------------

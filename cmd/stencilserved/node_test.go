@@ -310,4 +310,26 @@ func TestSharedHandlersBothRoles(t *testing.T) {
 			})
 		}
 	}
+	// /healthz: one body on both roles, the peer counts only on a
+	// coordinator (startRole gives it one peer).
+	for _, role := range bothRoles {
+		t.Run(role+"/healthz answers one shape", func(t *testing.T) {
+			base, _ := startRole(t, role, nodeConfig{cacheDir: t.TempDir()})
+			var h map[string]any
+			if code := doJSON(t, http.MethodGet, base+"/healthz", nil, &h); code != http.StatusOK {
+				t.Fatalf("healthz: %d, want 200", code)
+			}
+			for _, key := range []string{"status", "role", "uptime_sec", "queue", "cache_entries", "cache_dir"} {
+				if _, ok := h[key]; !ok {
+					t.Errorf("healthz misses %q: %v", key, h)
+				}
+			}
+			_, hasHealthy := h["peers_healthy"]
+			total, hasTotal := h["peers_total"]
+			coord := role == "coordinator"
+			if h["status"] != "ok" || h["role"] != role || hasHealthy != coord || hasTotal != coord || (coord && total != 1.0) {
+				t.Errorf("healthz on a %s: %v", role, h)
+			}
+		})
+	}
 }

@@ -124,7 +124,6 @@ func newServer(cfg config) (*server, error) {
 	s.handle("POST /v1/model", s.handleModel)
 	s.handle("GET /v1/variants", s.handleVariants)
 	s.handle("GET /metrics", s.handleMetrics)
-	s.handle("GET /healthz", s.handleHealthz)
 	return s, nil
 }
 
@@ -659,7 +658,7 @@ func (s *server) handleVariants(w http.ResponseWriter, r *http.Request) {
 	_ = t.JSON(w)
 }
 
-// ---- metrics, health ---------------------------------------------------
+// ---- GET /metrics ------------------------------------------------------
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.queue.Stats()
@@ -673,25 +672,4 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("stencilserved_scratch_checkout_misses", "arena checkouts that created a new arena").Set(float64(sc.Misses))
 	s.reg.Gauge("stencilserved_scratch_grows", "arena backing-store growths").Set(float64(sc.Grows))
 	s.writeMetrics(w)
-}
-
-type healthResponse struct {
-	Status       string     `json:"status"`
-	UptimeSec    float64    `json:"uptime_sec"`
-	Queue        jobs.Stats `json:"queue"`
-	CacheEntries int        `json:"cache_entries"`
-	CacheDir     string     `json:"cache_dir,omitempty"`
-}
-
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := healthResponse{
-		Status:    "ok",
-		UptimeSec: time.Since(s.start).Seconds(),
-		Queue:     s.queue.Stats(),
-	}
-	if s.cache != nil {
-		h.CacheEntries = s.cache.Len()
-		h.CacheDir = s.cache.Dir()
-	}
-	writeJSON(w, http.StatusOK, h)
 }

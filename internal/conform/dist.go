@@ -246,22 +246,7 @@ func CheckDist(dc DistCase, maxULP uint64) (dv *Divergence) {
 // variant fixed (it identifies the runner) and the seed fixed (the
 // repro stays replayable).
 func MinimizeDist(dc DistCase, maxULP uint64) (DistCase, *Divergence) {
-	dc = dc.Normalized()
-	dv := CheckDist(dc, maxULP)
-	if dv == nil {
-		return dc, nil
-	}
-	for improved := true; improved; {
-		improved = false
-		for _, cand := range shrinkDistCase(dc) {
-			if cdv := CheckDist(cand, maxULP); cdv != nil {
-				dc, dv = cand.Normalized(), cdv
-				improved = true
-				break
-			}
-		}
-	}
-	return dc, dv
+	return minimize(dc, DistCase.Normalized, shrinkDistCase, func(c DistCase) *Divergence { return CheckDist(c, maxULP) })
 }
 
 func shrinkDistCase(dc DistCase) []DistCase {

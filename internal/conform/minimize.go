@@ -11,23 +11,26 @@ package conform
 // Shrinking keeps the seed fixed — the initial data changes shape with
 // the geometry but stays deterministic, so the repro line replays.
 func Minimize(r Runner, c Case, maxULP uint64) (Case, *Divergence) {
-	return minimizeCase(func(cc Case) *Divergence { return CheckBox(r, cc, maxULP) }, c)
+	return minimize(c, Case.Normalized, shrinkCase, func(cc Case) *Divergence { return CheckBox(r, cc, maxULP) })
 }
 
-// minimizeCase is the greedy shrink loop shared by Minimize (bitwise
-// single-box checks) and MinimizePeriodic (tolerance-mode periodic
-// checks): only the failing-check predicate differs.
-func minimizeCase(check func(Case) *Divergence, c Case) (Case, *Divergence) {
-	c = c.Normalized()
+// minimize is the greedy shrink loop every minimizer shares: normalize c,
+// and while some shrink candidate still fails check, move to the first
+// such candidate (normalized). Only the case type, its candidate list
+// and the failing-check predicate differ between Minimize,
+// MinimizePeriodic, MinimizeLevel and MinimizeDist. If c does not fail,
+// it returns (normalize(c), nil).
+func minimize[C comparable](c C, normalize func(C) C, shrink func(C) []C, check func(C) *Divergence) (C, *Divergence) {
+	c = normalize(c)
 	dv := check(c)
 	if dv == nil {
 		return c, nil
 	}
 	for improved := true; improved; {
 		improved = false
-		for _, cand := range shrinkCase(c) {
+		for _, cand := range shrink(c) {
 			if cdv := check(cand); cdv != nil {
-				c, dv = cand.Normalized(), cdv
+				c, dv = normalize(cand), cdv
 				improved = true
 				break
 			}
@@ -92,22 +95,7 @@ func shrinkCase(c Case) []Case {
 // domain, grows boxes toward a single-box layout, drops threads and
 // periodic directions, keeping any candidate that still diverges.
 func MinimizeLevel(r Runner, lc LevelCase, maxULP uint64) (LevelCase, *Divergence) {
-	lc = lc.Normalized()
-	dv := CheckLevel(r, lc, maxULP)
-	if dv == nil {
-		return lc, nil
-	}
-	for improved := true; improved; {
-		improved = false
-		for _, cand := range shrinkLevelCase(lc) {
-			if cdv := CheckLevel(r, cand, maxULP); cdv != nil {
-				lc, dv = cand.Normalized(), cdv
-				improved = true
-				break
-			}
-		}
-	}
-	return lc, dv
+	return minimize(lc, LevelCase.Normalized, shrinkLevelCase, func(c LevelCase) *Divergence { return CheckLevel(r, c, maxULP) })
 }
 
 func shrinkLevelCase(lc LevelCase) []LevelCase {

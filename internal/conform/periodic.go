@@ -257,5 +257,5 @@ func CheckPeriodic(r Runner, c Case) (dv *Divergence) {
 // MinimizePeriodic shrinks a failing periodic case the way Minimize
 // shrinks a single-box case, re-checking candidates with CheckPeriodic.
 func MinimizePeriodic(r Runner, c Case) (Case, *Divergence) {
-	return minimizeCase(func(cc Case) *Divergence { return CheckPeriodic(r, cc) }, c)
+	return minimize(c, Case.Normalized, shrinkCase, func(cc Case) *Divergence { return CheckPeriodic(r, cc) })
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,11 +132,15 @@ func TestQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	block := func(ctx context.Context) (any, error) { <-release; return nil, nil }
-	if _, err := q.Submit("a", 1, 0, block); err != nil {
+	started := make(chan struct{})
+	if _, err := q.Submit("a", 1, 0, func(ctx context.Context) (any, error) {
+		close(started)
+		return block(ctx)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the worker a moment to pop job a, then fill the buffer.
-	time.Sleep(10 * time.Millisecond)
+	// Once the worker runs job a, b fills the one-slot buffer.
+	<-started
 	if _, err := q.Submit("b", 1, 0, block); err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +210,19 @@ func TestDrainFinishesRunningCancelsPending(t *testing.T) {
 		return "ran", nil
 	})
 	<-started
+	// Release the running job only once Drain has begun: it sets
+	// draining and cancels the pending job under one hold of q.mu.
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(release)
+		for {
+			q.mu.Lock()
+			draining := q.draining
+			q.mu.Unlock()
+			if draining {
+				close(release)
+				return
+			}
+			runtime.Gosched()
+		}
 	}()
 	if err := q.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
