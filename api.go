@@ -220,11 +220,11 @@ type ConformanceReport = conform.Report
 
 // Conformance runs the deterministic differential + metamorphic
 // conformance sweep over every registered schedule — the 32 studied
-// variants and the codegen-interpreted exemplar schedules — and reports
-// any divergence from the Figure 6 reference. The zero config runs the
-// defaults (the same sweep tier-1 tests run); ctx cancels mid-sweep. A
-// deployed stencilserved node exposes this as POST /v1/conformance for
-// post-autotune self-checks.
+// variants, the schedc-compiled runners and the spectral backends — and
+// reports any divergence from the Figure 6 reference. The zero config
+// runs the defaults (the same sweep tier-1 tests run); ctx cancels
+// mid-sweep. A deployed stencilserved node exposes this as POST
+// /v1/conformance for post-autotune self-checks.
 func Conformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport, error) {
 	return conform.Sweep(ctx, cfg)
 }
@@ -241,19 +241,13 @@ func Conformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport
 // spectral tolerance rather than bitwise.
 type Schedule = conform.Runner
 
-// Schedules returns every schedule the conformance sweep checks, except
-// the instance-at-a-time interpreted ones, in registration order: the 32
-// studied variants, the schedc-compiled runners (single-step, and the
-// temporal families over K in {1,2,4} and tile edges {box,16,32}), and
-// the FFT spectral backends over K in {1,2,4,8,16}.
+// Schedules returns every schedule the conformance sweep checks, in
+// registration order: the 32 studied variants, the schedc-compiled
+// runners (single-step, and the temporal families over K in {1,2,4} and
+// tile edges {box,16,32}), and the FFT spectral backends over K in
+// {1,2,4,8,16}.
 func Schedules() []Schedule {
-	var out []Schedule
-	for _, r := range conform.Registry() {
-		if !r.Interpreted {
-			out = append(out, r)
-		}
-	}
-	return out
+	return conform.Registry()
 }
 
 // ScheduleByName resolves a schedule by paper-legend variant name (as
@@ -265,7 +259,7 @@ func ScheduleByName(name string) (Schedule, error) {
 	if err == nil {
 		return conform.VariantRunner(v), nil
 	}
-	if r, ok := conform.RunnerByName(name); ok && !r.Interpreted {
+	if r, ok := conform.RunnerByName(name); ok {
 		return r, nil
 	}
 	return Schedule{}, fmt.Errorf("stencilsched: no schedule %q: not a registry name, and as a variant name: %w", name, err)
@@ -647,7 +641,7 @@ func SolveDistributedRankTCP(ctx context.Context, v Variant, p DistProblem, rank
 	}
 	defer ln.Close()
 	start := time.Now()
-	rr, err := dist.RunTCP(ctx, cfg, rank, ln, addrs, dist.TCPOptions{})
+	rr, err := dist.RunTCP(ctx, cfg, rank, ln, addrs)
 	if err != nil {
 		return DistRankResult{}, err
 	}

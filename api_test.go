@@ -23,24 +23,19 @@ func TestVariantsCountAndNames(t *testing.T) {
 }
 
 // TestSchedules pins the one schedule handle: Schedules is the
-// conformance registry minus its interpreted rows, in order; every name,
-// legend aliases included, resolves through ScheduleByName; and one
-// Autotune call ranks a studied P<Box variant, a generated temporal
+// conformance registry, in order; every name, legend aliases included,
+// resolves through ScheduleByName and an unregistered name does not; and
+// one Autotune call ranks a studied P<Box variant, a generated temporal
 // schedule and a spectral backend together by per-step time.
 func TestSchedules(t *testing.T) {
-	var want []string
-	for _, r := range conform.Registry() {
-		if !r.Interpreted {
-			want = append(want, r.Name)
-		}
-	}
+	want := conform.Registry()
 	all := Schedules()
 	if len(all) != len(want) {
-		t.Fatalf("%d schedules, want the %d non-interpreted registry rows", len(all), len(want))
+		t.Fatalf("%d schedules, want the %d registry rows", len(all), len(want))
 	}
 	for i, s := range all {
-		if s.Name != want[i] {
-			t.Fatalf("schedule %d is %q, registry has %q there", i, s.Name, want[i])
+		if s.Name != want[i].Name {
+			t.Fatalf("schedule %d is %q, registry has %q there", i, s.Name, want[i].Name)
 		}
 		got, err := ScheduleByName(s.Name)
 		if err != nil || got.Name != s.Name || got.TemporalK != s.TemporalK || got.TileEdge != s.TileEdge ||

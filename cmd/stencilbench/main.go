@@ -3,11 +3,10 @@
 // real goroutine parallelism, model them on the paper's machines, or run
 // them distributed across ranks (in-process loopback, or one rank of a
 // real TCP mesh). Three modes measure schedule sets through the autotuner
-// and print one table each: compare (interpreter vs generated vs
-// hand-written), temporal (the compiled (tile, K) grid with its wall-time
-// and traffic verdicts) and fft (the spectral K ladder and its crossover
-// against the best K4 temporal schedule). Every mode prints; none writes
-// a file.
+// and print one table each: compare (generated vs hand-written),
+// temporal (the compiled (tile, K) grid with its wall-time and traffic
+// verdicts) and fft (the spectral K ladder and its crossover against the
+// best K4 temporal schedule). Every mode prints; none writes a file.
 //
 // Usage examples:
 //

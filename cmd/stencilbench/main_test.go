@@ -335,21 +335,31 @@ func TestRunFFTTable(t *testing.T) {
 	}
 }
 
-// TestRunCompareTable runs the compare mode end to end on the smallest
-// box every compiled family's tile fits.
+// TestRunCompareTable runs the compare mode end to end: at N=16 every
+// compiled family's tile fits and each row has a generated time, plus a
+// hand-written time and ratio where a studied counterpart exists; at
+// N=8 the table still has every row, and the OT-16 pair, whose tile does
+// not fit, prints "-".
 func TestRunCompareTable(t *testing.T) {
-	o := testOpts()
-	o.mode = "compare"
-	o.n = 16
-	buf := &bytes.Buffer{}
-	o.out = buf
-	if err := run(o); err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range compareTriples() {
-		row := regexp.MustCompile(`(?m)^` + tr.family + ` .*$`).FindString(buf.String())
-		if f := strings.Fields(row); len(f) != 6 || f[2] == "-" {
-			t.Fatalf("no %s row with a generated time:\n%s", tr.family, buf)
+	for _, n := range []int{16, 8} {
+		o := testOpts()
+		o.mode = "compare"
+		o.n = n
+		buf := &bytes.Buffer{}
+		o.out = buf
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range comparePairs() {
+			row := regexp.MustCompile(`(?m)^` + pr.family + ` .*$`).FindString(buf.String())
+			f := strings.Fields(row)
+			if len(f) != 4 {
+				t.Fatalf("N=%d: no %s row of 4 columns:\n%s", n, pr.family, buf)
+			}
+			measured := n >= 16 || pr.family != "ot-16"
+			if (f[1] != "-") != measured || (f[2] != "-") != (measured && pr.handWritten != "") {
+				t.Errorf("N=%d: %s row %q", n, pr.family, row)
+			}
 		}
 	}
 }

@@ -249,7 +249,10 @@ func TestFleetSurvivesPeerKill(t *testing.T) {
 		}(i)
 	}
 	close(release)
-	time.Sleep(50 * time.Millisecond)
+	waitUntil(t, "peer 1 holds a job", func() bool {
+		st := f.peers[1].srv.queue.Stats()
+		return st.Pending+st.Running > 0
+	})
 	f.peers[1].ts.CloseClientConnections()
 	f.peers[1].ts.Close()
 	wg.Wait()

@@ -130,7 +130,11 @@ func TestDistSolveCancelReleasesThreads(t *testing.T) {
 	}
 	// Let the run start so the cancel lands mid-execution, not while
 	// still queued (both paths must release the grant either way).
-	time.Sleep(20 * time.Millisecond)
+	waitUntil(t, "the dist job runs", func() bool {
+		var cur jobs.Snapshot
+		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+snap.ID, nil, &cur)
+		return cur.Status == jobs.StatusRunning
+	})
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+snap.ID, nil, nil); code != http.StatusOK {
 		t.Fatalf("DELETE status %d", code)
 	}
@@ -184,7 +188,7 @@ func TestConformanceEndpointDist(t *testing.T) {
 		t.Fatalf("conformance result %q: %v", raw, err)
 	}
 	// One box case per registered runner plus one dist case per studied
-	// variant (interpreted runners have no distributed executor).
+	// variant (generated and spectral runners have no distributed executor).
 	wantChecks := len(conform.Registry()) + len(stencilsched.Variants())
 	if rep.Checks != wantChecks {
 		t.Fatalf("sweep ran %d checks, want %d: %+v", rep.Checks, wantChecks, rep)

@@ -96,6 +96,19 @@ func awaitJob(t *testing.T, baseURL, id string) jobs.Snapshot {
 	return jobs.Snapshot{}
 }
 
+// waitUntil polls cond until it holds, failing the test naming what it
+// waited for if 10 s pass first.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after 10s waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestVariantsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, config{})
 	var table struct {

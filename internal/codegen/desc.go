@@ -1,22 +1,35 @@
+// Package codegen holds the What/When/Where descriptions the paper built
+// its variants from with CodeGen+ (Section IV-E), as plain data that the
+// schedule compiler internal/schedc turns into the Go of
+// internal/variants/generated:
+//
+//   - What — statement macros plus an integer-tuple set defining the domain
+//     of iterations of each statement (poly.Set);
+//   - When — a schedule mapping from domain iterations to a global
+//     lexicographic time vector; changing only this mapping re-orders the
+//     computation (shifting, fusing, tiling) without touching the
+//     statement bodies;
+//   - Where — storage mapping macros that map indexed values to storage
+//     locations, so data placement (full arrays, ring buffers, tile-local
+//     caches) can change without changing the high-level code.
+//
+// As with CodeGen+, the descriptions are compiled, not executed: the
+// generated runners are differentially tested against an independent
+// reference (kernel.Reference, composed K times for the time-domain
+// schedules) by internal/conform.
+//
+// The descriptions are parametric: domains are polyhedra over six leading
+// symbol dimensions — the valid-box corners — followed by the loop
+// dimensions, so one description serves every box size, and the compiler
+// emits the parametric bounds as Go expressions.
 package codegen
 
 import (
 	"fmt"
 
-	"stencilsched/internal/box"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/poly"
 )
-
-// This file is the exported, serializable form of the What/When/Where
-// separation: plain-data descriptions of statement domains, scatter
-// schedules, and storage mappings that both the interpreter (this package)
-// and the schedule compiler (internal/schedc) consume. The descriptions are
-// parametric: domains are polyhedra over six leading symbol dimensions —
-// the valid-box corners — followed by the loop dimensions, so one
-// description serves every box size. Binding the symbols to a concrete box
-// yields the numeric domains the interpreter scans; leaving them symbolic
-// yields the parametric bounds the compiler emits as Go expressions.
 
 // NumBoxParams is the number of leading parameter dimensions of every
 // exemplar domain: the low and high corner of the valid box per axis.
@@ -30,11 +43,6 @@ func BoxParamNames() []string {
 // LoopVarNames names the spatial loop dimensions of the exemplar domains,
 // outermost first (the (z, y, x) nest of the hand-written families).
 func LoopVarNames() []string { return []string{"z", "y", "x"} }
-
-// BoxParamValues binds the parameter dimensions to a concrete box.
-func BoxParamValues(b box.Box) []int {
-	return []int{b.Lo[0], b.Hi[0], b.Lo[1], b.Hi[1], b.Lo[2], b.Hi[2]}
-}
 
 // AffineDesc is a serializable affine expression (see poly.Affine).
 type AffineDesc struct {
@@ -63,45 +71,21 @@ func (d SetDesc) Set() *poly.Set {
 	return s
 }
 
-// Bind substitutes concrete values for the leading len(vals) dimensions,
-// returning a description over the remaining dimensions. Binding the box
-// parameters turns a parametric domain into the numeric domain the
-// interpreter scans.
-func (d SetDesc) Bind(vals ...int) SetDesc {
-	n := len(vals)
-	out := SetDesc{Dim: d.Dim - n, Cons: make([]AffineDesc, 0, len(d.Cons))}
-	for _, c := range d.Cons {
-		nc := AffineDesc{Const: c.Const}
-		for i, v := range vals {
-			if i < len(c.Coef) {
-				nc.Const += c.Coef[i] * v
-			}
-		}
-		if len(c.Coef) > n {
-			nc.Coef = append([]int(nil), c.Coef[n:]...)
-		}
-		out.Cons = append(out.Cons, nc)
-	}
-	return out
-}
-
 // ScheduleDesc is a serializable schedule: affine rows over the loop
 // dimensions mapping an iteration vector to its time vector.
 type ScheduleDesc struct {
 	Rows []AffineDesc `json:"rows"`
 }
 
-// Schedule converts the description to the interpreter's form.
-func (d ScheduleDesc) Schedule() Schedule {
-	rows := make([]poly.Affine, len(d.Rows))
-	for i, r := range d.Rows {
-		rows[i] = r.Affine()
-	}
-	return Schedule{Rows: rows}
-}
-
-// ScatterDesc mirrors Scatter: the classic CodeGen+ scatter schedule with
-// static positions interleaving the loop variables.
+// ScatterDesc builds the classic CodeGen+ scatter schedule for a statement
+// at static position pos within each loop level: the time vector
+// interleaves static constants and loop variables,
+//
+//	[pos[0], x0, pos[1], x1, ..., x_{dim-1}, pos[dim]]
+//
+// pos must have dim+1 entries. Statements sharing loop levels fuse by
+// sharing static positions; shifting a statement is adding a constant to a
+// variable row.
 func ScatterDesc(dim int, pos ...int) ScheduleDesc {
 	if len(pos) != dim+1 {
 		panic(fmt.Sprintf("codegen: scatter needs %d positions, got %d", dim+1, len(pos)))
@@ -245,7 +229,7 @@ type ProgramDesc struct {
 // BoxDomainDesc builds the parametric domain of the valid box with each
 // axis extended by ext[axis] on the high side (face boxes), over extra
 // leading loop dimensions: the result has NumBoxParams + extraVars + 3
-// dimensions, the spatial loops ordered (z, y, x) as in domainOf.
+// dimensions, the spatial loops ordered (z, y, x).
 func BoxDomainDesc(extraVars int, ext [3]int) SetDesc {
 	dim := NumBoxParams + extraVars + 3
 	d := SetDesc{Dim: dim}
@@ -263,6 +247,9 @@ func BoxDomainDesc(extraVars int, ext [3]int) SetDesc {
 	}
 	return d
 }
+
+// fusedLevel returns the loop level of direction d in the (z, y, x) nest.
+func fusedLevel(d int) int { return 2 - d }
 
 // faceExt is the high-side extension of the face box of direction d.
 func faceExt(d int) [3]int {

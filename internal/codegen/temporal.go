@@ -3,11 +3,7 @@ package codegen
 import (
 	"fmt"
 
-	"stencilsched/internal/box"
-	"stencilsched/internal/fab"
-	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
-	"stencilsched/internal/poly"
 )
 
 // This file extends the What/When/Where descriptions with a time axis: K
@@ -31,11 +27,9 @@ import (
 //     the K-step delta straight into phi1; the low-face fluxes are carried
 //     in depth-one rings (a scalar in x, a row in y, a plane in z).
 //
-// The same description drives both consumers: internal/schedc lowers it to
-// flat-offset Go, and BuildTemporal interprets it instance by instance —
-// the interpreted run is the oracle the generated runner is differentially
-// tested against, and both are bit-identical to composing kernel.Reference
-// K times (see internal/temporal.Reference).
+// internal/schedc lowers the description to flat-offset Go; the generated
+// runners are differentially tested against composing kernel.Reference K
+// times (internal/temporal.Reference), bit for bit.
 
 // Phi0 names the sweep's input state where a statement takes a source
 // buffer: the reserved buffer name of phi0, which no BufferDesc declares.
@@ -191,158 +185,3 @@ func CarriedAxes(d int) []int {
 
 // dirName is shared with families consuming these descriptions.
 var dirName = [3]string{"X", "Y", "Z"}
-
-// store is the interpreter's storage mapping of one buffer (or of phi0 /
-// phi1): a flat array plus the Where that locates point p, component c in
-// it.
-type store struct {
-	data []float64
-	lo   ivect.IntVect
-	// str is the stride per axis, zero for an axis the buffer does not
-	// index by (the outer axes of a ring slot); sc the component stride.
-	str [3]int
-	sc  int
-	// A ring of depth > 0 along dir adds (coordinate mod depth) slots.
-	dir, depth, slot int
-}
-
-// fabStore views a FAB through the interpreter's storage mapping.
-func fabStore(f *fab.FAB) *store {
-	sy, sz, sc := f.Strides()
-	return &store{data: f.Data(), lo: f.Box().Lo, str: [3]int{1, sy, sz}, sc: sc}
-}
-
-// newStore allocates a buffer description over base, the box its Level
-// scopes it to (the valid box for the untiled programs interpreted here).
-func newStore(bd BufferDesc, base box.Box) *store {
-	b := base.Grow(bd.Grow)
-	if bd.Dir >= 0 {
-		b = b.SurroundingFaces(bd.Dir)
-	}
-	sz := b.Size()
-	s := &store{lo: b.Lo}
-	switch bd.Kind {
-	case "full":
-		s.str = [3]int{1, sz[0], sz[0] * sz[1]}
-		s.sc = sz.Prod()
-	case "ring":
-		s.dir, s.depth, s.slot = bd.Dir, bd.Depth, 1
-		for _, a := range bd.Inner {
-			s.str[a] = s.slot
-			s.slot *= sz[a]
-		}
-		s.sc = s.depth * s.slot
-	default:
-		panic(fmt.Sprintf("codegen: unknown buffer kind %q", bd.Kind))
-	}
-	s.data = make([]float64, s.sc*bd.Comps)
-	return s
-}
-
-func (s *store) loc(p ivect.IntVect, c int) int {
-	i := c * s.sc
-	for a := 0; a < 3; a++ {
-		i += s.str[a] * (p[a] - s.lo[a])
-	}
-	if s.depth > 0 {
-		i += (p[s.dir] - s.lo[s.dir]) % s.depth * s.slot
-	}
-	return i
-}
-
-// temporalData carries the interpreter storage of a temporal sweep: phi0,
-// phi1 and one store per described buffer.
-type temporalData struct {
-	phi0, phi1 *store
-	bufs       map[string]*store
-}
-
-// BuildTemporal materializes the untiled K-step description as an
-// interpretable program over concrete storage. Executing it accumulates
-// the K-step delta into phi1 — the interpreted reference the generated
-// temporal runners are differentially tested against.
-func BuildTemporal(phi0, phi1 *fab.FAB, valid box.Box, k int) *Program {
-	pd := TemporalProg(k, 0)
-	e := &temporalData{phi0: fabStore(phi0), phi1: fabStore(phi1), bufs: map[string]*store{}}
-	e.bufs[Phi0] = e.phi0
-	for _, bd := range pd.Buffers {
-		e.bufs[bd.Name] = newStore(bd, valid)
-	}
-	vals := BoxParamValues(valid)
-	p := &Program{}
-	for _, st := range pd.Stmts {
-		dom := st.Domain.Bind(vals...).Set()
-		p.Add(&Statement{
-			Name:     st.Name,
-			Domain:   dom,
-			Schedule: st.Sched.Schedule(),
-			Body:     e.body(st, dom),
-		})
-	}
-	return p
-}
-
-// body resolves a temporal statement macro to its What over the
-// interpreter storage. A row statement runs cell by cell, as rows of
-// length one through the same internal/kernel row kernels the generated
-// runners call with whole rows: the carried low-face fluxes come from the
-// rings, and a cell whose predecessor along an axis lies outside the
-// statement's domain seeds that flux by direct recomputation.
-func (e *temporalData) body(st StmtDesc, dom *poly.Set) func([]int) {
-	c := st.Comp
-	src := e.bufs[st.Bufs[0]]
-	if st.Macro == "sflux1" {
-		d, out := st.Dir, e.bufs[st.Bufs[1]]
-		return func(x []int) {
-			p := pointOf(x)
-			out.data[out.loc(p, 0)] = kernel.FaceAvg(src.data, src.loc(p, c), src.str[d])
-		}
-	}
-	var vel, flux [3]*store
-	for d := 0; d < 3; d++ {
-		vel[d], flux[d] = e.bufs[st.Bufs[1+d]], e.bufs[st.Bufs[4+d]]
-	}
-	var step func(p ivect.IntVect, o int, vx, vy, vz, fy, fz []float64, fxlo float64) float64
-	switch st.Macro {
-	case "roweuler":
-		dst := e.bufs[st.Bufs[7]]
-		step = func(p ivect.IntVect, o int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
-			i := dst.loc(p, c)
-			return kernel.EulerRow(dst.data[i:i+1], src.data, o, src.str[1], src.str[2], vx, vy, vz, fy, fz, fxlo, -kernel.EulerDt)
-		}
-	case "rowdelta":
-		step = func(p ivect.IntVect, o int, vx, vy, vz, fy, fz []float64, fxlo float64) float64 {
-			i, b := e.phi1.loc(p, c), e.phi0.loc(p, c)
-			return kernel.EulerDeltaRow(e.phi1.data[i:i+1], e.phi0.data[b:b+1], src.data, o, src.str[1], src.str[2], vx, vy, vz, fy, fz, fxlo, -kernel.EulerDt)
-		}
-	default:
-		panic(fmt.Sprintf("codegen: unknown temporal macro %q", st.Macro))
-	}
-	pred := make([]int, 3)
-	return func(x []int) {
-		p := pointOf(x)
-		o := src.loc(p, c)
-		var lowFace, hiVel [3][]float64
-		for d := 0; d < 3; d++ {
-			i := flux[d].loc(p, 0)
-			lowFace[d] = flux[d].data[i : i+1]
-			copy(pred, x)
-			pred[2-d]-- // the (z, y, x) slot of axis d
-			if !dom.Contains(pred) {
-				kernel.SeedRow(lowFace[d], vel[d].data[vel[d].loc(p, 0):], src.data, o, src.str[d])
-			}
-			hiVel[d] = vel[d].data[vel[d].loc(p.Shift(d, 1), 0):]
-		}
-		fx := lowFace[0]
-		fx[0] = step(p, o, hiVel[0], hiVel[1], hiVel[2], lowFace[1], lowFace[2], fx[0])
-	}
-}
-
-// RunTemporalInterpreted executes the untiled K-step temporal schedule
-// through the interpreter, accumulating the K-step delta into phi1 over
-// valid. phi0 must cover valid grown by k*NGhost.
-func RunTemporalInterpreted(phi0, phi1 *fab.FAB, valid box.Box, k int) error {
-	kernel.CheckStateK(phi0, phi1, valid, k)
-	_, err := BuildTemporal(phi0, phi1, valid, k).Execute()
-	return err
-}

@@ -1,45 +1,33 @@
 package codegen
 
-import (
-	"math/rand"
-	"testing"
+import "testing"
 
-	"stencilsched/internal/box"
-	"stencilsched/internal/fab"
-	"stencilsched/internal/ivect"
-	"stencilsched/internal/kernel"
-	"stencilsched/internal/temporal"
-)
-
-// TestTemporalInterpretedMatchesReference pins the interpreted K-step
-// schedule bitwise against composing kernel.Reference K times.
-func TestTemporalInterpretedMatchesReference(t *testing.T) {
-	valid := box.New(ivect.New(-1, 2, 0), ivect.New(5, 8, 6))
-	for _, k := range []int{1, 2, 3} {
-		phi0 := fab.New(valid.Grow(k*kernel.NGhost), kernel.NComp)
-		phi0.Randomize(rand.New(rand.NewSource(int64(10+k))), 0.25, 1.75)
-		want := fab.New(valid, kernel.NComp)
-		temporal.Reference(phi0, want, valid, k, kernel.EulerDt)
-		got := fab.New(valid, kernel.NComp)
-		if err := RunTemporalInterpreted(phi0, got, valid, k); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if d, at, c := got.MaxDiff(want, valid); d != 0 {
-			t.Fatalf("k=%d: diverges at %v comp %d by %g", k, at, c, d)
-		}
-	}
-}
-
-// TestTemporalProgValidates checks the scheduled program passes the
-// interpreter's dependence validation (every value written before read
-// under the scatter schedule) for a small K.
+// TestTemporalProgValidates checks the well-formedness the compiler
+// relies on for every temporal description: each statement's domain
+// spans the box parameters and the loop variables, its schedule is a
+// scatter schedule over those variables (one time-vector length for the
+// whole program), and every buffer it names is phi0 or declared.
 func TestTemporalProgValidates(t *testing.T) {
-	valid := box.Cube(4)
-	phi0 := fab.New(valid.Grow(2*kernel.NGhost), kernel.NComp)
-	phi0.Randomize(rand.New(rand.NewSource(1)), 0.25, 1.75)
-	phi1 := fab.New(valid, kernel.NComp)
-	p := BuildTemporal(phi0, phi1, valid, 2)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	for _, k := range []int{1, 2, 4} {
+		for _, tile := range []int{0, 16} {
+			pd := TemporalProg(k, tile)
+			declared := map[string]bool{Phi0: true}
+			for _, bd := range pd.Buffers {
+				declared[bd.Name] = true
+			}
+			for _, st := range pd.Stmts {
+				if st.Domain.Dim != NumBoxParams+len(pd.Vars) {
+					t.Errorf("k=%d tile=%d %s: domain has %d dims, want %d", k, tile, st.Name, st.Domain.Dim, NumBoxParams+len(pd.Vars))
+				}
+				if err := st.Sched.ScatterForm(len(pd.Vars)); err != nil {
+					t.Errorf("k=%d tile=%d %s: %v", k, tile, st.Name, err)
+				}
+				for _, b := range st.Bufs {
+					if !declared[b] {
+						t.Errorf("k=%d tile=%d %s: undeclared buffer %q", k, tile, st.Name, b)
+					}
+				}
+			}
+		}
 	}
 }

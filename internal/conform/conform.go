@@ -1,7 +1,8 @@
 // Package conform is the differential and metamorphic conformance
 // harness of the repository: it cross-validates every registered
-// schedule — the hand-written variant families of internal/variants and
-// the codegen-interpreted exemplar schedules of internal/codegen —
+// schedule — the hand-written variant families of internal/variants, the
+// schedc-compiled runners of internal/variants/generated and the
+// spectral backend of internal/fft —
 // against the Figure 6 reference kernel over randomized geometries.
 //
 // The paper's entire argument rests on one invariant (Section IV): all

@@ -16,22 +16,18 @@ import (
 
 func TestRegistryCoverage(t *testing.T) {
 	rs := Registry()
-	// Studied variants + 2 interpreted exemplars + every generated entry
-	// + 1 interpreted temporal K1 + 5 spectral FFT runners.
-	want := len(sched.Studied()) + 2 + len(generated.Entries()) + 1 + 5
-	if len(rs) != want || want != 53 {
-		t.Fatalf("registry has %d runners, its parts sum to %d, want 53 (32 studied + 3 interpreted + 13 generated + 5 spectral)", len(rs), want)
+	// Studied variants + every generated entry + 5 spectral FFT runners.
+	want := len(sched.Studied()) + len(generated.Entries()) + 5
+	if len(rs) != want || want != 50 {
+		t.Fatalf("registry has %d runners, its parts sum to %d, want 50 (32 studied + 13 generated + 5 spectral)", len(rs), want)
 	}
 	seen := map[string]bool{}
-	interpreted, gen, temporal, spectral := 0, 0, 0, 0
+	gen, temporal, spectral := 0, 0, 0
 	for _, r := range rs {
 		if seen[r.Name] {
 			t.Errorf("duplicate runner name %q", r.Name)
 		}
 		seen[r.Name] = true
-		if r.Interpreted {
-			interpreted++
-		}
 		if r.Generated {
 			gen++
 		}
@@ -49,14 +45,11 @@ func TestRegistryCoverage(t *testing.T) {
 			t.Errorf("RunnerByName(%q) = %q, %v", r.Name, got.Name, ok)
 		}
 	}
-	if interpreted != 3 {
-		t.Errorf("registry has %d interpreted runners, want 3", interpreted)
-	}
 	if gen != 13 {
 		t.Errorf("registry has %d generated runners, want 13 (4 classic + 9 temporal)", gen)
 	}
-	if temporal != 15 {
-		t.Errorf("registry has %d temporal runners, want 15 (9 generated + 1 interpreted + 5 spectral)", temporal)
+	if temporal != 14 {
+		t.Errorf("registry has %d temporal runners, want 14 (9 generated + 5 spectral)", temporal)
 	}
 	if spectral != 5 {
 		t.Errorf("registry has %d spectral runners, want 5 (K 1/2/4/8/16)", spectral)
@@ -87,9 +80,9 @@ func TestAddRunnerRejectsDuplicate(t *testing.T) {
 }
 
 // TestSweep is the tier-1 conformance gate: the deterministic sweep
-// must pass for every runner in the registry — all 32 studied variants
-// and both codegen-interpreted schedules — across randomized single-box
-// and multi-box geometries.
+// must pass for every runner in the registry — the 32 studied variants,
+// the generated runners and the spectral backends — across randomized
+// single-box and multi-box geometries.
 func TestSweep(t *testing.T) {
 	rep, err := Sweep(context.Background(), SweepConfig{})
 	if err != nil {

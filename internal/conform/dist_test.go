@@ -144,7 +144,7 @@ func TestDistDivergenceReproLine(t *testing.T) {
 }
 
 // TestSweepCoversDist: the tier-1 sweep runs distributed cases for
-// every variant runner and skips the interpreted schedules.
+// every variant runner and skips the generated and spectral ones.
 func TestSweepCoversDist(t *testing.T) {
 	// Indirect but cheap: count the checks a dist-less sweep loses.
 	reg := Registry()

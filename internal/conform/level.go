@@ -23,8 +23,8 @@ type LevelCase struct {
 	Threads    int     `json:"threads"`
 }
 
-// Level-case bounds: domains stay small enough for the interpreted
-// runners while still producing multi-box layouts with ragged edges.
+// Level-case bounds: domains stay small enough for a fast sweep while
+// still producing multi-box layouts with ragged edges.
 const (
 	minDomainEdge = 4
 	maxDomainEdge = 20

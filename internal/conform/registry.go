@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stencilsched/internal/box"
-	"stencilsched/internal/codegen"
 	"stencilsched/internal/fab"
 	"stencilsched/internal/fft"
 	"stencilsched/internal/sched"
@@ -15,20 +14,17 @@ import (
 // Runner is one registered schedule execution: a name, a way to run the
 // exemplar on a box, and (for the hand-written families) the variant it
 // executes. The conformance checks treat runners uniformly — the
-// contract is identical whether the schedule is compiled Go or an
-// interpreted What/When/Where program.
+// contract is identical whether the schedule is hand-written, compiled
+// by schedc or answered by the spectral backend.
 type Runner struct {
 	// Name identifies the runner in divergence repros. For variant
 	// runners it is the paper-legend variant name.
 	Name string
 	// Variant is the scheduling variant of a hand-written runner; the
-	// zero value for interpreted runners (see Interpreted).
+	// zero value for the generated and spectral runners.
 	Variant sched.Variant
-	// Interpreted marks the codegen-interpreted exemplar schedules,
-	// which execute serially regardless of the thread argument.
-	Interpreted bool
 	// Generated marks the schedc-compiled runners (package
-	// internal/variants/generated), also serial within the box.
+	// internal/variants/generated), serial within the box.
 	Generated bool
 	// TemporalK > 0 marks a temporal-blocking runner fusing that many
 	// Euler steps per sweep, which changes the contract: phi0 must cover
@@ -83,17 +79,6 @@ func VariantRunner(v sched.Variant) Runner {
 	}
 }
 
-// interpretedRunner wraps one codegen-interpreted exemplar schedule.
-func interpretedRunner(name string, fused bool) Runner {
-	return Runner{
-		Name:        name,
-		Interpreted: true,
-		Run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
-			return codegen.RunExemplar(phi0, phi1, valid, fused)
-		},
-	}
-}
-
 // AddRunner appends r to rs, rejecting a name already present — a
 // duplicate registration would make divergence repro lines ambiguous
 // and silently halve the sweep's coverage of one of the two runners.
@@ -107,11 +92,10 @@ func AddRunner(rs []Runner, r Runner) ([]Runner, error) {
 }
 
 // Registry returns every registered schedule the harness conforms: the
-// 32 studied hand-written variants, the two codegen-interpreted
-// exemplar schedules (series and row-fused), and the schedc-compiled
-// runners. The sweep's acceptance criterion is that every entry here
-// is covered. A duplicate name in the registration sequence is a
-// programming error and panics.
+// 32 studied hand-written variants, the schedc-compiled runners and the
+// spectral backends. The sweep's acceptance criterion is that every
+// entry here is covered. A duplicate name in the registration sequence
+// is a programming error and panics.
 func Registry() []Runner {
 	var rs []Runner
 	var err error
@@ -123,15 +107,9 @@ func Registry() []Runner {
 	for _, v := range sched.Studied() {
 		add(VariantRunner(v))
 	}
-	add(interpretedRunner("CodeGen series (interpreted)", false))
-	add(interpretedRunner("CodeGen row-fused (interpreted)", true))
 	for _, e := range generated.Entries() {
 		add(Runner{Name: e.Name, Generated: true, TemporalK: e.TemporalK, TileEdge: e.TileEdge, Run: e.Run})
 	}
-	// The interpreted time-domain schedule. Deeper interpreted K are
-	// pinned by the dedicated temporal sweep test — their instance
-	// counts are too large for the per-build registry.
-	add(temporalInterpretedRunner(1))
 	// The spectral fast path: one FFT pass answers K Euler steps on
 	// periodic frozen-velocity data. Deep K are cheap here (the symbol
 	// is raised to the K-th power pointwise), so the registry carries
@@ -162,26 +140,10 @@ func spectralRunner(k int) Runner {
 	}
 }
 
-// temporalInterpretedRunner wraps the codegen-interpreted K-step
-// schedule (serial, instance-at-a-time execution of TemporalProg).
-func temporalInterpretedRunner(k int) Runner {
-	return Runner{
-		Name:        fmt.Sprintf("Temporal K%d (interpreted)", k),
-		Interpreted: true,
-		TemporalK:   k,
-		Run: func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
-			return codegen.RunTemporalInterpreted(phi0, phi1, valid, k)
-		},
-	}
-}
-
 // studiedIndex locates a variant runner's position in sched.Studied()
 // — the VariantIdx a distributed case needs to execute that runner's
-// schedule. Interpreted runners report false.
+// schedule. Generated and spectral runners report false.
 func studiedIndex(r Runner) (int, bool) {
-	if r.Interpreted {
-		return 0, false
-	}
 	for i, v := range sched.Studied() {
 		if v.Name() == r.Name {
 			return i, true

@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Sweep defaults: small enough that the full registry (32 variants + 2
-// interpreted schedules) finishes in seconds under `go test`, large
-// enough that every runner sees cubic, ragged, padded, threaded, warm
-// and multi-box geometries.
+// Sweep defaults: small enough that the full registry (32 variants, 13
+// generated and 5 spectral runners) finishes in seconds under `go test`,
+// large enough that every runner sees cubic, ragged, padded, threaded,
+// warm and multi-box geometries.
 const (
 	DefaultBoxCases   = 6
 	DefaultLevelCases = 2
@@ -37,8 +37,8 @@ type SweepConfig struct {
 	LevelCases int `json:"level_cases"`
 	// DistCases is the number of distributed multi-rank cases per
 	// variant runner (DefaultDistCases if 0; set to -1 to skip
-	// distributed checks). Interpreted runners are skipped — the
-	// distributed runtime executes sched variants.
+	// distributed checks). Generated and spectral runners are skipped —
+	// the distributed runtime executes sched variants.
 	DistCases int `json:"dist_cases"`
 	// MaxULP bounds the differential comparison; the repository
 	// guarantee is bitwise, i.e. 0.
@@ -163,8 +163,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 			}
 		}
 		// Distributed multi-rank checks: variant runners only (the
-		// distributed runtime executes sched variants; the interpreted
-		// schedules have no level executor). Each runner draws a
+		// distributed runtime executes sched variants). Each runner draws a
 		// different geometry (seed offset by its registry position) so
 		// the sweep covers rank counts, halo depths, and shuffled
 		// assignments across the registry.

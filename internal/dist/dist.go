@@ -160,20 +160,16 @@ type Config struct {
 	// ExchangeTimeout bounds each superstep's receive phase per rank.
 	// Zero defaults to 10s.
 	ExchangeTimeout time.Duration
-	// MaxRetries bounds send retries on transient backpressure. Zero
-	// defaults to 8; negative means none.
-	MaxRetries int
-	// RetryBackoff is the initial retry delay, doubled per attempt.
-	// Zero defaults to 200µs.
-	RetryBackoff time.Duration
 	// Hook is the fault-injection test hook (see TestHook).
 	Hook TestHook
 }
 
 const (
 	defaultExchangeTimeout = 10 * time.Second
-	defaultMaxRetries      = 8
-	defaultRetryBackoff    = 200 * time.Microsecond
+	// maxRetries bounds send retries on transient backpressure;
+	// retryBackoff is the first retry's delay, doubled per attempt.
+	maxRetries   = 8
+	retryBackoff = 200 * time.Microsecond
 )
 
 func (c Config) exchangeTimeout() time.Duration {
@@ -181,23 +177,6 @@ func (c Config) exchangeTimeout() time.Duration {
 		return defaultExchangeTimeout
 	}
 	return c.ExchangeTimeout
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries == 0 {
-		return defaultMaxRetries
-	}
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return c.MaxRetries
-}
-
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return defaultRetryBackoff
-	}
-	return c.RetryBackoff
 }
 
 // Stats accounts one rank's execution (or, summed, the whole level's).

@@ -317,7 +317,7 @@ func TestRunTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[r], errs[r] = RunTCP(context.Background(), cfg, r, lns[r], addrs, TCPOptions{})
+			results[r], errs[r] = RunTCP(context.Background(), cfg, r, lns[r], addrs)
 		}()
 	}
 	wg.Wait()
@@ -353,7 +353,7 @@ func TestTCPMeshSizeMismatch(t *testing.T) {
 	acceptErr := make(chan error, 1)
 	go func() {
 		// Rank 0 of a 2-mesh accepts rank 1.
-		tr, err := ConnectTCP(context.Background(), 0, ln, []string{addr, "ignored"}, 1024, TCPOptions{})
+		tr, err := ConnectTCP(context.Background(), 0, ln, []string{addr, "ignored"}, 1024)
 		if tr != nil {
 			tr.Close()
 		}

@@ -132,7 +132,7 @@ func firstError(errs []error) error {
 // of the plan. All processes must be launched with identical configs;
 // the hello handshake cross-checks the mesh size. The transport is torn
 // down before return, whatever happens.
-func RunTCP(ctx context.Context, cfg Config, rank int, ln net.Listener, addrs []string, opt TCPOptions) (*RankResult, error) {
+func RunTCP(ctx context.Context, cfg Config, rank int, ln net.Listener, addrs []string) (*RankResult, error) {
 	plan, err := cfg.plan()
 	if err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ func RunTCP(ctx context.Context, cfg Config, rank int, ln net.Listener, addrs []
 	if len(addrs) != len(plan.Ranks) {
 		return nil, fmt.Errorf("dist: %d addresses for %d ranks", len(addrs), len(plan.Ranks))
 	}
-	tr, err := ConnectTCP(ctx, rank, ln, addrs, plan.MaxFrameValues, opt)
+	tr, err := ConnectTCP(ctx, rank, ln, addrs, plan.MaxFrameValues)
 	if err != nil {
 		return nil, err
 	}

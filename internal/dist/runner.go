@@ -305,11 +305,11 @@ func (r *runner) sendAll(ctx context.Context, super int) error {
 		var err error
 		for attempt := 0; ; attempt++ {
 			err = r.tr.Send(ctx, snd.To, &f)
-			if err == nil || !errors.Is(err, ErrBackpressure) || attempt >= r.cfg.maxRetries() {
+			if err == nil || !errors.Is(err, ErrBackpressure) || attempt >= maxRetries {
 				break
 			}
 			r.stats.Retries++
-			backoff := r.cfg.retryBackoff() << uint(attempt)
+			backoff := retryBackoff << uint(attempt)
 			select {
 			case <-ctx.Done():
 				err = ctx.Err()

@@ -8,42 +8,15 @@ import (
 	"time"
 )
 
-// TCPOptions tunes the TCP mesh transport. Zero values select the
-// defaults noted per field.
-type TCPOptions struct {
-	// DialTimeout is the total per-peer connection budget, retries
-	// included (default 10s) — peers of a just-launched mesh may not be
-	// listening yet.
-	DialTimeout time.Duration
-	// DialBackoff is the delay between dial retries (default 50ms).
-	DialBackoff time.Duration
-	// WriteTimeout is the per-frame write deadline (default 10s).
-	WriteTimeout time.Duration
-	// MaxFrameValues overrides the frame-decode bound when > 0
-	// (otherwise the bound passed to ConnectTCP is used).
-	MaxFrameValues int
-}
-
-func (o TCPOptions) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return o.DialTimeout
-}
-
-func (o TCPOptions) dialBackoff() time.Duration {
-	if o.DialBackoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return o.DialBackoff
-}
-
-func (o TCPOptions) writeTimeout() time.Duration {
-	if o.WriteTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return o.WriteTimeout
-}
+const (
+	// tcpDialTimeout is the total per-peer connection budget, retries
+	// included — peers of a just-launched mesh may not be listening yet.
+	tcpDialTimeout = 10 * time.Second
+	// tcpDialBackoff is the delay between dial retries.
+	tcpDialBackoff = 50 * time.Millisecond
+	// tcpWriteTimeout is the per-frame write deadline.
+	tcpWriteTimeout = 10 * time.Second
+)
 
 // tcpConn is one established peer link with its write lock and scratch.
 type tcpConn struct {
@@ -85,13 +58,10 @@ type TCPTransport struct {
 // the dial budget runs out. maxValues is the frame-decode bound (pass
 // the plan's MaxFrameValues). The listener stays open and owned by the
 // caller; it is only force-closed to unblock a failed handshake.
-func ConnectTCP(ctx context.Context, rank int, ln net.Listener, addrs []string, maxValues int, opt TCPOptions) (*TCPTransport, error) {
+func ConnectTCP(ctx context.Context, rank int, ln net.Listener, addrs []string, maxValues int) (*TCPTransport, error) {
 	ranks := len(addrs)
 	if rank < 0 || rank >= ranks {
 		return nil, fmt.Errorf("dist: tcp rank %d of %d", rank, ranks)
-	}
-	if opt.MaxFrameValues > 0 {
-		maxValues = opt.MaxFrameValues
 	}
 	if maxValues < 1 {
 		maxValues = DefaultMaxFrameValues
@@ -100,13 +70,13 @@ func ConnectTCP(ctx context.Context, rank int, ln net.Listener, addrs []string, 
 		rank:      rank,
 		ranks:     ranks,
 		maxValues: maxValues,
-		writeTO:   opt.writeTimeout(),
+		writeTO:   tcpWriteTimeout,
 		conns:     make([]*tcpConn, ranks),
 		inbox:     make(chan recvItem, 256),
 		done:      make(chan struct{}),
 	}
 
-	ctx, cancel := context.WithTimeout(ctx, opt.dialTimeout())
+	ctx, cancel := context.WithTimeout(ctx, tcpDialTimeout)
 	defer cancel()
 
 	// First failure wins; it cancels the ctx and unblocks the Accept.
@@ -163,7 +133,7 @@ func ConnectTCP(ctx context.Context, rank int, ln net.Listener, addrs []string, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := t.dialPeer(ctx, addrs[peer], opt)
+			c, err := t.dialPeer(ctx, addrs[peer])
 			if err != nil {
 				fail(fmt.Errorf("dist: rank %d dial rank %d (%s): %w", rank, peer, addrs[peer], err))
 				return
@@ -189,7 +159,7 @@ func ConnectTCP(ctx context.Context, rank int, ln net.Listener, addrs []string, 
 	return t, nil
 }
 
-func (t *TCPTransport) dialPeer(ctx context.Context, addr string, opt TCPOptions) (net.Conn, error) {
+func (t *TCPTransport) dialPeer(ctx context.Context, addr string) (net.Conn, error) {
 	var d net.Dialer
 	for {
 		c, err := d.DialContext(ctx, "tcp", addr)
@@ -206,7 +176,7 @@ func (t *TCPTransport) dialPeer(ctx context.Context, addr string, opt TCPOptions
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("%v (last dial error: %w)", ctx.Err(), err)
-		case <-time.After(opt.dialBackoff()):
+		case <-time.After(tcpDialBackoff):
 		}
 	}
 }

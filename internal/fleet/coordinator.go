@@ -63,17 +63,14 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		names[i] = p.Name
 	}
-	ring, err := NewRing(names, cfg.vnodes())
+	ring, err := NewRing(names, vnodes)
 	if err != nil {
 		return nil, err
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     30 * time.Second,
-		}}
-	}
+	hc := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     30 * time.Second,
+	}}
 	c := &Coordinator{
 		cfg:     cfg,
 		ring:    ring,
@@ -314,7 +311,7 @@ func (p *Placement) advance(ctx context.Context) error {
 }
 
 // submitOn tries one peer, retrying transient transport errors in place
-// with backoff up to MaxRetries before giving up on it.
+// with backoff up to maxRetries before giving up on it.
 func (p *Placement) submitOn(ctx context.Context, pi int) error {
 	c := p.c
 	cl := c.clients[pi]
@@ -324,7 +321,7 @@ func (p *Placement) submitOn(ctx context.Context, pi int) error {
 	backoff := c.cfg.retryBackoff()
 	for attempt := 0; ; attempt++ {
 		status, data, err = cl.submit(ctx, p.path, p.body)
-		if err == nil || attempt >= c.cfg.maxRetries() ||
+		if err == nil || attempt >= maxRetries ||
 			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			break
 		}
@@ -437,7 +434,7 @@ func (c *Coordinator) Execute(ctx context.Context, path string, body []byte) (Ex
 // deadline is twice that, so a peer that stops answering surfaces as
 // ErrTimeout and goes straight back to the re-placement loop instead of
 // being waited on again. Other transient failures retry with backoff up
-// to MaxRetries; past that the typed error propagates likewise. If ctx
+// to maxRetries; past that the typed error propagates likewise. If ctx
 // ends, the remote job is best-effort canceled so the peer does not burn
 // its budget on an abandoned job.
 func (c *Coordinator) pollToTerminal(ctx context.Context, pi int, j remoteJob) (json.RawMessage, error) {
@@ -465,7 +462,7 @@ func (c *Coordinator) pollToTerminal(ctx context.Context, pi int, j remoteJob) (
 			return nil, err
 		}
 		misses++
-		if misses > c.cfg.maxRetries() {
+		if misses > maxRetries {
 			return nil, err
 		}
 		select {

@@ -67,6 +67,26 @@ func newFakePeer(name string, runFor time.Duration) *fakePeer {
 func (p *fakePeer) peer() Peer { return Peer{Name: p.name, URL: p.srv.URL} }
 func (p *fakePeer) close()     { p.srv.Close() }
 func (p *fakePeer) kill()      { p.srv.CloseClientConnections(); p.srv.Close() }
+
+// awaitJob blocks until the peer holds at least one job, failing the
+// test if none arrives within 10 s.
+func (p *fakePeer) awaitJob(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		n := len(p.jobs)
+		p.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("peer %s received no job within 10s", p.name)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func (p *fakePeer) drain() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -197,7 +217,6 @@ func testConfig(peers ...*fakePeer) Config {
 		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
 		RetryBackoff:  time.Millisecond,
-		MaxRetries:    3,
 	}
 }
 

@@ -66,9 +66,9 @@ func TestPeerDeathMidPlacementUnderLoad(t *testing.T) {
 		}(i)
 	}
 	close(release)
-	// Kill peer b while the fleet is mid-flight: some jobs are queued on
-	// it, some are being polled.
-	time.Sleep(10 * time.Millisecond)
+	// Kill peer b while the fleet is mid-flight: once it holds a job,
+	// some jobs are queued on it and some are being polled.
+	peers[1].awaitJob(t)
 	peers[1].kill()
 	wg.Wait()
 	peers[0].close()
@@ -120,7 +120,7 @@ func TestDrainUnderLoad(t *testing.T) {
 		}(i)
 	}
 	close(release)
-	time.Sleep(7 * time.Millisecond)
+	peers[0].awaitJob(t)
 	peers[0].drain()
 	wg.Wait()
 

@@ -20,7 +20,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"net/http"
 	"time"
 
 	"stencilsched/internal/dist"
@@ -85,12 +84,6 @@ type Config struct {
 	// Peers is the fleet membership (fixed for the coordinator's
 	// lifetime; at least one).
 	Peers []Peer
-	// Client is the HTTP client used for all peer traffic; nil uses a
-	// dedicated client with sane connection reuse.
-	Client *http.Client
-	// Vnodes is the number of ring points per peer; more points smooth
-	// the load split. Zero defaults to 64.
-	Vnodes int
 	// ProbeInterval is the health-probe period. Zero defaults to 1s;
 	// negative disables probing (placement then trusts the last state,
 	// which starts healthy).
@@ -100,28 +93,22 @@ type Config struct {
 	// job to settle; that look's deadline is twice as long, so a peer that
 	// stops answering surfaces as ErrTimeout and the job is re-placed.
 	ProbeTimeout time.Duration
-	// MaxRetries bounds per-peer transient retries before the peer is
-	// declared down for this operation. Zero defaults to 3.
-	MaxRetries int
 	// RetryBackoff is the initial retry delay, doubled per attempt. Zero
 	// defaults to 50ms.
 	RetryBackoff time.Duration
 }
 
 const (
-	defaultVnodes        = 64
+	// vnodes is the number of ring points per peer; more points smooth
+	// the load split.
+	vnodes = 64
+	// maxRetries bounds per-peer transient retries before the peer is
+	// declared down for this operation.
+	maxRetries           = 3
 	defaultProbeInterval = time.Second
 	defaultProbeTimeout  = 2 * time.Second
-	defaultMaxRetries    = 3
 	defaultRetryBackoff  = 50 * time.Millisecond
 )
-
-func (c Config) vnodes() int {
-	if c.Vnodes <= 0 {
-		return defaultVnodes
-	}
-	return c.Vnodes
-}
 
 func (c Config) probeInterval() time.Duration {
 	if c.ProbeInterval == 0 {
@@ -135,13 +122,6 @@ func (c Config) probeTimeout() time.Duration {
 		return defaultProbeTimeout
 	}
 	return c.ProbeTimeout
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return defaultMaxRetries
-	}
-	return c.MaxRetries
 }
 
 func (c Config) retryBackoff() time.Duration {

@@ -8,7 +8,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over peer indices. Each peer owns
-// Vnodes points on a 64-bit circle; a key is placed on the first point
+// vnodes points on a 64-bit circle; a key is placed on the first point
 // clockwise from its own hash. Consistency is the property the fleet
 // needs for its cache affinity: adding or removing one peer moves only
 // the keys that peer owned, so the rest of the fleet's tunecaches stay

@@ -7,10 +7,8 @@ package kernel
 // low-face fluxes carried instead of stored; the series forms (FaceAvgRow,
 // Flux2Row, DiffAccRow) are one row of a pass of the series of loops. They
 // are the single definition behind the hand-written families
-// (internal/variants), the schedc row statements and lowered point
-// statements (internal/variants/generated) and the interpreter's
-// cell-by-cell execution of the row statements (internal/codegen, rows of
-// length one).
+// (internal/variants) and the schedc row statements and lowered point
+// statements (internal/variants/generated).
 //
 // Shared conventions: the row is the n consecutive cells in x whose first
 // offset in the source component slice ph is o0, with sy and sz the

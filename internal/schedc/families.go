@@ -9,7 +9,7 @@ import (
 
 // Families returns every schedule family the compiler ships generated
 // code for: the two CodeGen+ exemplar schedules (series and row-fused,
-// from the same descriptions the interpreter executes) and two of the
+// codegen.SeriesDesc and codegen.RowFusedDesc) and two of the
 // hand-written families re-derived from declarative descriptions
 // (Shift-Fuse serial and the overlapped-tile Basic-Sched OT-16). All
 // four run serially within the box — the P>=Box granularity, whose

@@ -350,7 +350,7 @@ func (e *emitter) buf(st *codegen.StmtDesc, i int) *bufInfo {
 
 // emitMacro expands one instance of a point statement inside its x loop
 // (emitRow lowers the statements that need no x loop). Every macro writes
-// exactly the expressions of the interpreted Whats (the faceAvgExpr
+// exactly the expressions of the reference kernel's Whats (the faceAvgExpr
 // expansion of kernel.FaceAvg, kernel.Flux2, x-y-z accumulation order), so
 // the generated code is bit-identical to kernel.Reference.
 func (e *emitter) emitMacro(ls *loweredStmt, ind string) {

@@ -1,9 +1,8 @@
 // Package schedc is the schedule compiler: it lowers the serializable
 // What/When/Where descriptions of internal/codegen to specialized,
 // arena-aware Go source — the reproduction of what the paper's CodeGen+
-// tool (Section IV-E) did for the study's variants, closing the gap
-// between the interpreted exemplar schedules and the hand-written
-// families.
+// tool (Section IV-E) did for the study's variants: the descriptions
+// have no other executor.
 //
 // The input is a Family: one or more codegen.ProgramDesc values, each a
 // set of statements with polyhedral iteration domains (parametric over
