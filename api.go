@@ -508,8 +508,7 @@ func (p DistProblem) distConfig(v Variant) (dist.Config, error) {
 	if err != nil {
 		return dist.Config{}, err
 	}
-	period := p.DomainN
-	init := func(pt ivect.IntVect, c int) float64 { return kernel.SmoothAt(period, pt, c) }
+	init := kernel.SmoothFunc(p.DomainN)
 	if user := p.Init; user != nil {
 		init = func(pt ivect.IntVect, c int) float64 {
 			return user(float64(pt[0])+0.5, float64(pt[1])+0.5, float64(pt[2])+0.5, c)

@@ -176,7 +176,7 @@ func runMeasured(o options, v stencilsched.Variant) error {
 	fmt.Fprintf(o.out, "%s\n", v.Name())
 	fmt.Fprintf(o.out, "  problem:    %d boxes of %d^3 (%d cells), %d threads, %d reps\n",
 		o.boxes, o.n, res.Problem.Cells(), o.threads, o.reps)
-	fmt.Fprintf(o.out, "  time:       %.4fs min (mean %.4fs ± %.4fs)\n",
+	fmt.Fprintf(o.out, "  time:       %.6fs min (mean %.6fs ± %.6fs)\n",
 		res.Seconds, res.Timing.Mean, res.Timing.StdDev)
 	fmt.Fprintf(o.out, "  throughput: %.2f Mcells/s\n", res.MCellsPerSec)
 	fmt.Fprintf(o.out, "  temps:      flux %d B, velocity %d B; recompute factor %.3f\n",

@@ -466,10 +466,13 @@ func TestRunDrainsInFlightJobsOnShutdown(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the handler park on the job
 	shutdown := time.Now()
 	cancel() // the SIGINT stand-in
-	// Release the in-flight job only once shutdown has had time to end
-	// the long poll and hand over to drain; released earlier, the worker
-	// would start the queued job before drain could cancel it.
-	time.Sleep(100 * time.Millisecond)
+	// Release the in-flight job only once shutdown has ended the long
+	// poll and drain has canceled the queued job; released earlier, the
+	// worker would start the queued job before drain could cancel it.
+	waitUntil(t, "drain cancels the queued job", func() bool {
+		got, _ := s.queue.Get(queued.ID)
+		return got.Status == jobs.StatusCanceled
+	})
 	close(release)
 	select {
 	case err := <-done:

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -173,6 +174,97 @@ func TestShellPiecesPartition(t *testing.T) {
 			t.Fatalf("point %v covered %d times, want %d", p, count[p], want)
 		}
 	})
+}
+
+// TestDistInteriorDisjointFromRemote holds the overlap split to the
+// invariant that makes it race-free, over even and ragged layouts, 1-4
+// ranks, halo depths 1-4, every periodic/non-periodic axis mix, and
+// chunked and shuffled assignments: in every superstep shape (k = 1..K
+// sub-steps) each box's interior lies inside its sub-step-0 region, and
+// the interior's stencil reach misses every remote Recv region of the
+// box. It then pins the win on the small-box benchmark's layout (32^3
+// in 16^3 boxes, 2 ranks, periodic): only the z faces are remote, so the
+// interior keeps the region's whole x and y extent.
+func TestDistInteriorDisjointFromRemote(t *testing.T) {
+	rnd := rand.New(rand.NewSource(37))
+	for _, g := range []struct{ edge, boxN int }{{16, 8}, {20, 8}, {24, 12}, {32, 16}, {40, 16}, {48, 16}} {
+		for mix := 0; mix < 8; mix++ {
+			periodic := [3]bool{mix&1 != 0, mix&2 != 0, mix&4 != 0}
+			l := testLayout(t, g.edge, g.boxN, periodic)
+			for ranks := 1; ranks <= 4; ranks++ {
+				for _, shuffle := range []bool{false, true} {
+					a, err := cluster.Assign(l, ranks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shuffle {
+						rnd.Shuffle(len(a.Of), func(i, j int) { a.Of[i], a.Of[j] = a.Of[j], a.Of[i] })
+					}
+					for haloK := 1; haloK <= 4; haloK++ {
+						p, err := NewPlan(l, a, haloK)
+						if err != nil {
+							t.Fatal(err)
+						}
+						forEachInterior(p, func(rp *RankPlan, bi, k int, reg, in box.Box) {
+							label := fmt.Sprintf("domain=%d box=%d periodic=%v ranks=%d shuffle=%v K=%d rank=%d box %d k=%d",
+								g.edge, g.boxN, periodic, ranks, shuffle, haloK, rp.Rank, bi, k)
+							if in.IsEmpty() {
+								return
+							}
+							if !reg.ContainsBox(in) {
+								t.Fatalf("%s: interior %v escapes region %v", label, in, reg)
+							}
+							reach := in.Grow(kernel.NGhost)
+							for _, rc := range rp.Recvs {
+								if rc.DstBox == bi && reach.Intersects(rc.Region) {
+									t.Fatalf("%s: interior %v reads remote region %v (motion %d)", label, in, rc.Region, rc.Motion)
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+
+	l := testLayout(t, 32, 16, [3]bool{true, true, true})
+	a, err := cluster.Assign(l, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, haloK := range []int{1, 2, 4} {
+		p, err := NewPlan(l, a, haloK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forEachInterior(p, func(rp *RankPlan, bi, k int, reg, in box.Box) {
+			b := l.Boxes[bi]
+			for d := 0; d < 2; d++ {
+				if in.Lo[d] != reg.Lo[d] || in.Hi[d] != reg.Hi[d] {
+					t.Fatalf("K=%d box %d k=%d: interior %v does not span region %v in dim %d", haloK, bi, k, in, reg, d)
+				}
+			}
+			if in.Lo[2] != b.Lo[2]+kernel.NGhost || in.Hi[2] != b.Hi[2]-kernel.NGhost {
+				t.Fatalf("K=%d box %d k=%d: interior %v not held off the remote z faces of %v", haloK, bi, k, in, b)
+			}
+		})
+	}
+}
+
+// forEachInterior calls fn with the sub-step-0 region and interior of
+// every owned box of p, for every superstep length k = 1..p.HaloK.
+func forEachInterior(p *Plan, fn func(rp *RankPlan, bi, k int, reg, in box.Box)) {
+	r := &runner{plan: p}
+	for ri := range p.Ranks {
+		rp := &p.Ranks[ri]
+		for _, bi := range rp.Boxes {
+			b := p.Layout.Boxes[bi]
+			for k := 1; k <= p.HaloK; k++ {
+				reg := r.region(b, 0, k)
+				fn(rp, bi, k, reg, interiorOf(b, reg, p.RemoteFaces[bi]))
+			}
+		}
+	}
 }
 
 // TestDistMatrix is the acceptance matrix: for one variant of each

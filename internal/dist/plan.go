@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stencilsched/internal/box"
 	"stencilsched/internal/cluster"
@@ -39,6 +40,30 @@ type LocalCopy struct {
 	Shift          ivect.IntVect
 }
 
+// FaceSet is a set of a box's six faces: bit 2*d is the low face in
+// direction d, bit 2*d+1 the high face.
+type FaceSet uint8
+
+// Has reports whether the set holds the face of direction d on side
+// (0 low, 1 high).
+func (s FaceSet) Has(d, side int) bool { return s&(1<<(2*d+side)) != 0 }
+
+// facesBeyond returns the faces of b that region r lies wholly beyond.
+// A ghost region never meets b, so it lies beyond at least one face;
+// beyond several, it is an edge or corner region.
+func facesBeyond(b, r box.Box) FaceSet {
+	var s FaceSet
+	for d := 0; d < 3; d++ {
+		if r.Hi[d] < b.Lo[d] {
+			s |= 1 << (2 * d)
+		}
+		if r.Lo[d] > b.Hi[d] {
+			s |= 1 << (2*d + 1)
+		}
+	}
+	return s
+}
+
 // RankPlan is one rank's share of the exchange plan.
 type RankPlan struct {
 	Rank  int
@@ -61,6 +86,11 @@ type Plan struct {
 	// resulting ghost-layer count HaloK*kernel.NGhost.
 	HaloK, Depth int
 	Ranks        []RankPlan
+	// RemoteFaces, by box index, marks faces of each box such that every
+	// remote Recv region of the box lies wholly beyond a marked face (see
+	// markRemoteFaces): the only faces the overlapped superstep keeps its
+	// interior away from.
+	RemoteFaces []FaceSet
 	// MaxFrameValues is the largest single message's float64 count —
 	// the wire-decode bound transports use.
 	MaxFrameValues int
@@ -136,7 +166,32 @@ func NewPlan(l *layout.Layout, a *cluster.Assignment, haloK int) (*Plan, error) 
 			id++
 		}
 	}
+	p.RemoteFaces = make([]FaceSet, l.NumBoxes())
+	for _, rp := range p.Ranks {
+		markRemoteFaces(p.RemoteFaces, l.Boxes, rp.Recvs)
+	}
 	return p, nil
+}
+
+// markRemoteFaces marks in faces, by box index, the faces the remote
+// regions recvs lie beyond. A region beyond exactly one face marks that
+// face. An edge or corner region is covered once any of its faces is
+// marked; one that is not marks its highest-direction face (z, then y,
+// then x), so the x-rows of whatever is left unmarked stay whole. Every
+// region then lies wholly beyond a marked face of its box.
+func markRemoteFaces(faces []FaceSet, boxes []box.Box, recvs []Recv) {
+	// Face regions first: an edge or corner region must see every face
+	// they mark before it picks one of its own.
+	for _, rc := range recvs {
+		if s := facesBeyond(boxes[rc.DstBox], rc.Region); bits.OnesCount8(uint8(s)) == 1 {
+			faces[rc.DstBox] |= s
+		}
+	}
+	for _, rc := range recvs {
+		if s := facesBeyond(boxes[rc.DstBox], rc.Region); s&faces[rc.DstBox] == 0 {
+			faces[rc.DstBox] |= 1 << (bits.Len8(uint8(s)) - 1)
+		}
+	}
 }
 
 // MaxRecvs returns the largest per-superstep receive count over ranks —

@@ -147,10 +147,11 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 	}
 
 	// Receive overlapped with interior compute: remote frames write only
-	// ghost cells (motion regions never intersect a valid box), and the
-	// interior — the valid box shrunk by one stencil radius — reads only
-	// valid cells, so the two touch disjoint memory. The boundary shell
-	// waits for the exchange to finish.
+	// ghost cells beyond a box's remote faces, and the interior — the
+	// sub-step-0 region pulled one stencil radius inside the valid box on
+	// those faces only — reads none of them, so the two touch disjoint
+	// memory. The boundary shell, the slabs along the remote faces, waits
+	// for the exchange to finish.
 	recvStart := time.Now()
 	recvDone := make(chan error, 1)
 	go func() { recvDone <- r.recvAll(ctx, super) }()
@@ -159,7 +160,7 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 	for _, bi := range r.rp.Boxes {
 		b := r.plan.Layout.Boxes[bi]
 		reg := r.region(b, 0, k)
-		interior := b.Grow(-kernel.NGhost)
+		interior := interiorOf(b, reg, r.plan.RemoteFaces[bi])
 		if interior.IsEmpty() {
 			shells = append(shells, pieceRef{bi, reg})
 			continue
@@ -229,6 +230,26 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 		r.stats.ComputeSec += time.Since(t0).Seconds()
 	}
 	return nil
+}
+
+// interiorOf returns the part of region reg of valid box b that can be
+// computed before the exchange lands: reg clamped to one stencil radius
+// inside b on the remote faces, untouched on the others. Its stencil
+// reach, interiorOf(...).Grow(kernel.NGhost), stays inside b across every
+// remote face, and every remote region lies wholly beyond one of them.
+// With all six faces remote this is b.Grow(-kernel.NGhost); with none, it
+// is reg and the shell is empty.
+func interiorOf(b, reg box.Box, remote FaceSet) box.Box {
+	in := reg
+	for d := 0; d < 3; d++ {
+		if remote.Has(d, 0) {
+			in.Lo[d] = max(in.Lo[d], b.Lo[d]+kernel.NGhost)
+		}
+		if remote.Has(d, 1) {
+			in.Hi[d] = min(in.Hi[d], b.Hi[d]-kernel.NGhost)
+		}
+	}
+	return in
 }
 
 // pieceRef names one compute region of one owned box.

@@ -204,12 +204,15 @@ func (f *FAB) Plus(src *FAB, r box.Box, s float64) {
 	nx := r.Hi[0] - r.Lo[0] + 1
 	for c := 0; c < f.ncomp; c++ {
 		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
+			// Row offsets of the plane's first row; the y strides step them.
+			d := f.offset(ivect.New(r.Lo[0], r.Lo[1], z), c)
+			o := src.offset(ivect.New(r.Lo[0], r.Lo[1], z), c)
 			for y := r.Lo[1]; y <= r.Hi[1]; y++ {
-				d := f.offset(ivect.New(r.Lo[0], y, z), c)
-				o := src.offset(ivect.New(r.Lo[0], y, z), c)
-				for x := 0; x < nx; x++ {
-					f.data[d+x] += s * src.data[o+x]
+				dst, sr := f.data[d:d+nx], src.data[o:o+nx]
+				for x := range dst {
+					dst[x] += s * sr[x]
 				}
+				d, o = d+f.sy, o+src.sy
 			}
 		}
 	}

@@ -447,8 +447,12 @@ func TestExecuteHonorsContext(t *testing.T) {
 	c := newTestCoordinator(t, testConfig(p))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
+		// Cancel once the coordinator is looking at the peer's job, so
+		// the abandon knows which remote job to cancel.
+		defer cancel()
+		for deadline := time.Now().Add(10 * time.Second); p.looks.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 	}()
 	_, err := c.Execute(ctx, "/v1/solve", []byte(`{"domain_n":16}`))
 	if !errors.Is(err, context.Canceled) {

@@ -174,7 +174,7 @@ func InitSmooth(phi0 *fab.FAB, period int) {
 	if period <= 0 {
 		panic(fmt.Sprintf("kernel: period %d must be positive", period))
 	}
-	phi0.FillFunc(phi0.Box(), func(p ivect.IntVect, c int) float64 { return SmoothAt(period, p, c) })
+	phi0.FillFunc(phi0.Box(), SmoothFunc(period))
 }
 
 // InitSmoothFrozen fills phi0 like InitSmooth but with spatially
@@ -186,23 +186,37 @@ func InitSmoothFrozen(phi0 *fab.FAB, period int) {
 	if period <= 0 {
 		panic(fmt.Sprintf("kernel: period %d must be positive", period))
 	}
-	phi0.FillFunc(phi0.Box(), func(p ivect.IntVect, c int) float64 { return FrozenSmoothAt(period, p, c) })
+	smooth := SmoothFunc(period)
+	phi0.FillFunc(phi0.Box(), func(p ivect.IntVect, c int) float64 {
+		if v, ok := frozenVelocity(c); ok {
+			return v
+		}
+		return smooth(p, c)
+	})
 }
 
 // FrozenSmoothAt is the pointwise form of InitSmoothFrozen: SmoothAt
 // for density and energy, the constant profile midlines (0.5, 0.3, 0.4)
 // for the velocities.
 func FrozenSmoothAt(period int, p ivect.IntVect, c int) float64 {
+	if v, ok := frozenVelocity(c); ok {
+		return v
+	}
+	return SmoothAt(period, p, c)
+}
+
+// frozenVelocity returns the constant midline of velocity component c,
+// and false for density and energy.
+func frozenVelocity(c int) (float64, bool) {
 	switch c {
 	case 1:
-		return 0.5
+		return 0.5, true
 	case 2:
-		return 0.3
+		return 0.3, true
 	case 3:
-		return 0.4
-	default:
-		return SmoothAt(period, p, c)
+		return 0.4, true
 	}
+	return 0, false
 }
 
 // SmoothAt is the pointwise form of InitSmooth: the value of component c
@@ -224,6 +238,39 @@ func SmoothAt(period int, p ivect.IntVect, c int) float64 {
 		return 0.4 + 0.2*math.Sin(k*x+k*z) // w
 	default:
 		return 2.0 + 0.1*math.Cos(k*x)*math.Sin(k*y)*math.Sin(k*z) // e
+	}
+}
+
+// SmoothFunc returns SmoothAt for one period as a fill function, with
+// the sine and cosine of k*(i+0.5) tabulated for i in [0, period): the
+// same values bit for bit, without the math calls per value. Component
+// 3, whose sine takes a sum of two coordinates, and coordinates outside
+// [0, period) still call math.
+func SmoothFunc(period int) func(p ivect.IntVect, c int) float64 {
+	k := 2 * math.Pi / float64(period)
+	sin, cos := make([]float64, period), make([]float64, period)
+	for i := range sin {
+		sin[i], cos[i] = math.Sin(k*(float64(i)+0.5)), math.Cos(k*(float64(i)+0.5))
+	}
+	at := func(tab []float64, f func(float64) float64, i int) float64 {
+		if uint(i) < uint(len(tab)) {
+			return tab[i]
+		}
+		return f(k * (float64(i) + 0.5))
+	}
+	return func(p ivect.IntVect, c int) float64 {
+		switch c {
+		case 0:
+			return 1.0 + 0.1*at(sin, math.Sin, p[0])*at(cos, math.Cos, p[1])
+		case 1:
+			return 0.5 + 0.2*at(sin, math.Sin, p[1])
+		case 2:
+			return 0.3 + 0.2*at(cos, math.Cos, p[2])
+		case 3:
+			return SmoothAt(period, p, c)
+		default:
+			return 2.0 + 0.1*at(cos, math.Cos, p[0])*at(sin, math.Sin, p[1])*at(sin, math.Sin, p[2])
+		}
 	}
 }
 

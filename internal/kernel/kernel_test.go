@@ -229,6 +229,39 @@ func TestInitSmoothBounded(t *testing.T) {
 	}
 }
 
+// TestSmoothFuncMatchesSmoothAt holds the tabulated fill function to
+// the pointwise definition bit for bit, for every component, over the
+// period cube extended by 3 cells on every side (ghost cells and
+// periodic images take the math fallback), and InitSmooth and
+// InitSmoothFrozen, which fill through it, to their pointwise forms.
+func TestSmoothFuncMatchesSmoothAt(t *testing.T) {
+	for _, period := range []int{8, 16, 32, 48, 64} {
+		f := SmoothFunc(period)
+		box.Cube(period).Grow(3).ForEach(func(p ivect.IntVect) {
+			for c := 0; c < NComp; c++ {
+				if got, want := f(p, c), SmoothAt(period, p, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("period %d at %v comp %d: SmoothFunc %v, SmoothAt %v", period, p, c, got, want)
+				}
+			}
+		})
+	}
+	const period = 12
+	b := box.Cube(period).Grow(NGhost)
+	smooth, frozen := fab.New(b, NComp), fab.New(b, NComp)
+	InitSmooth(smooth, period)
+	InitSmoothFrozen(frozen, period)
+	b.ForEach(func(p ivect.IntVect) {
+		for c := 0; c < NComp; c++ {
+			if got, want := smooth.Get(p, c), SmoothAt(period, p, c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("InitSmooth at %v comp %d: %v, SmoothAt %v", p, c, got, want)
+			}
+			if got, want := frozen.Get(p, c), FrozenSmoothAt(period, p, c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("InitSmoothFrozen at %v comp %d: %v, FrozenSmoothAt %v", p, c, got, want)
+			}
+		}
+	})
+}
+
 func TestWorkFor(t *testing.T) {
 	n := 16
 	w := WorkFor(box.Cube(n))

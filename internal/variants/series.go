@@ -83,10 +83,10 @@ func execSeries(s *state, comp sched.CompLoop, threads int, ar *scratch.Arena) S
 			for c := 0; c < kernel.NComp; c++ {
 				out := flux.Comp(c)
 				if threads == 1 {
-					seriesScaleSlabs(out, vData, faces, fy, fz, 0, nzF)
+					seriesScaleSlabs(out, vData, fz, 0, nzF)
 				} else {
 					parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-						seriesScaleSlabs(out, vData, faces, fy, fz, zlo, zhi)
+						seriesScaleSlabs(out, vData, fz, zlo, zhi)
 					})
 				}
 				dst := s.comp1(c)
@@ -152,15 +152,11 @@ func seriesFaceAvgSlabsCLI(s *state, fluxData, phiData []float64, faces box.Box,
 }
 
 // seriesScaleSlabs applies the flux product (EvalFlux2) in place to one
-// component for z slabs [zlo, zhi) of faces.
-func seriesScaleSlabs(out, vData []float64, faces box.Box, fy, fz, zlo, zhi int) {
-	nx := faces.Size()[0]
-	for zi := zlo; zi < zhi; zi++ {
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			off := (y-faces.Lo[1])*fy + zi*fz
-			kernel.Flux2Row(out[off:off+nx], vData[off:])
-		}
-	}
+// component for z slabs [zlo, zhi) of faces, fz apart. The flux and
+// velocity temporaries are dense over the faces, so the slabs are one
+// contiguous run and one row-kernel call.
+func seriesScaleSlabs(out, vData []float64, fz, zlo, zhi int) {
+	kernel.Flux2Row(out[zlo*fz:zhi*fz], vData[zlo*fz:])
 }
 
 // seriesScaleSlabsCLI is seriesScaleSlabs with the component loop innermost.
@@ -179,15 +175,31 @@ func seriesScaleSlabsCLI(fluxData, vData []float64, faces box.Box, fy, fz, fc, z
 }
 
 // seriesAccumSlabs accumulates one component's flux difference into phi1
-// for z slabs [zlo, zhi) of cells.
+// for z slabs [zlo, zhi) of cells, one row-kernel call per run of cells
+// contiguous in both phi1 and the flux array: the whole slab range when
+// both x-y planes are dense over the cells (the z faces of a box-sized
+// phi1), a z-plane when only their x extents match (the y faces), and an
+// x-row otherwise (the x faces, whose rows are one longer than the
+// cells').
 func seriesAccumSlabs(s *state, dst, fd []float64, cells, faces box.Box, fy, fz, fdir, zlo, zhi int) {
+	if zlo >= zhi {
+		return
+	}
 	nx, ny := cells.Size()[0], cells.Size()[1]
-	for zi := zlo; zi < zhi; zi++ {
+	py, pz := s.str1[1], s.str1[2]
+	run, rows, planes := nx, ny, 1 // cells per call, calls per z step, planes per z step
+	if py == nx && fy == nx {
+		run, rows = nx*ny, 1
+		if pz == nx*ny && fz == nx*ny {
+			run, planes = nx*ny*(zhi-zlo), zhi-zlo
+		}
+	}
+	for zi := zlo; zi < zhi; zi += planes {
 		fOff := (zi + cells.Lo[2] - faces.Lo[2]) * fz
 		pOff := s.off1(ivect.New(cells.Lo[0], cells.Lo[1], cells.Lo[2]+zi))
-		for y := 0; y < ny; y++ {
-			kernel.DiffAccRow(dst[pOff:pOff+nx], fd[fOff+fdir:], fd[fOff:])
-			fOff, pOff = fOff+fy, pOff+s.str1[1]
+		for y := 0; y < rows; y++ {
+			kernel.DiffAccRow(dst[pOff:pOff+run], fd[fOff+fdir:], fd[fOff:])
+			fOff, pOff = fOff+fy, pOff+py
 		}
 	}
 }
@@ -267,7 +279,7 @@ func execSeriesNoVelTemp(s *state, threads int, ar *scratch.Arena) Stats {
 		scale := func(c int) {
 			out := flux.Comp(c)
 			parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-				seriesScaleSlabs(out, vel, faces, fy, fz, zlo, zhi)
+				seriesScaleSlabs(out, vel, fz, zlo, zhi)
 			})
 		}
 		for c := 0; c < kernel.NComp; c++ {
