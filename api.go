@@ -706,7 +706,7 @@ func PredictDistributedStep(v Variant, p DistProblem, m Machine, net Interconnec
 	// a halo deeper than the box (k*NGhost > BoxN) is a bad request — a
 	// typed ErrHaloTooDeep, which services surface as HTTP 400 — even
 	// though the runtime's copier could route such frames.
-	dh, err := ghost.DeepHaloStatsChecked(p.BoxN, 3, kernel.NGhost, k)
+	dh, err := ghost.DeepHaloStats(p.BoxN, 3, kernel.NGhost, k)
 	if err != nil {
 		return DistPrediction{}, fmt.Errorf("stencilsched: halo_k=%d on %d^3 boxes: %w", k, p.BoxN, err)
 	}

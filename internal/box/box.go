@@ -111,16 +111,6 @@ func (b Box) GrowDir(d, n int) Box {
 	return Box{Lo: b.Lo.Shift(d, -n), Hi: b.Hi.Shift(d, n)}
 }
 
-// GrowLo expands b by n points on the low side in direction d only.
-func (b Box) GrowLo(d, n int) Box {
-	return Box{Lo: b.Lo.Shift(d, -n), Hi: b.Hi}
-}
-
-// GrowHi expands b by n points on the high side in direction d only.
-func (b Box) GrowHi(d, n int) Box {
-	return Box{Lo: b.Lo, Hi: b.Hi.Shift(d, n)}
-}
-
 // Shift translates b by s points in direction d.
 func (b Box) Shift(d, s int) Box {
 	return Box{Lo: b.Lo.Shift(d, s), Hi: b.Hi.Shift(d, s)}
@@ -143,27 +133,6 @@ func (b Box) SurroundingFaces(d int) Box {
 // direction d all lie in the face box b. It inverts SurroundingFaces.
 func (b Box) EnclosedCells(d int) Box {
 	return Box{Lo: b.Lo, Hi: b.Hi.Shift(d, -1)}
-}
-
-// Refine scales b by the positive ratio r, mapping each coarse cell onto the
-// r^3 fine cells it covers.
-func (b Box) Refine(r int) Box {
-	if b.IsEmpty() {
-		return b
-	}
-	return Box{
-		Lo: b.Lo.RefineBy(r),
-		Hi: b.Hi.RefineBy(r).Add(ivect.Uniform(r - 1)),
-	}
-}
-
-// Coarsen divides b by the positive ratio r, mapping each fine cell onto its
-// covering coarse cell (flooring division).
-func (b Box) Coarsen(r int) Box {
-	if b.IsEmpty() {
-		return b
-	}
-	return Box{Lo: b.Lo.CoarsenBy(r), Hi: b.Hi.CoarsenBy(r)}
 }
 
 // ChopDir splits b at plane index p in direction d, returning the low part

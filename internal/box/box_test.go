@@ -117,12 +117,6 @@ func TestGrowGhostCount(t *testing.T) {
 	if g := Cube(16).GrowDir(1, 2); g.Size() != ivect.New(16, 20, 16) {
 		t.Fatalf("GrowDir size = %v", g.Size())
 	}
-	if g := Cube(4).GrowLo(0, 2); g.Lo != ivect.New(-2, 0, 0) || g.Hi != ivect.New(3, 3, 3) {
-		t.Fatalf("GrowLo = %v", g)
-	}
-	if g := Cube(4).GrowHi(2, 1); g.Hi != ivect.New(3, 3, 4) {
-		t.Fatalf("GrowHi = %v", g)
-	}
 }
 
 func TestShift(t *testing.T) {
@@ -147,20 +141,6 @@ func TestSurroundingFacesEnclosedCells(t *testing.T) {
 		if got := f.EnclosedCells(d); !got.Equal(b) {
 			t.Fatalf("EnclosedCells(SurroundingFaces) dir %d = %v", d, got)
 		}
-	}
-}
-
-func TestRefineCoarsen(t *testing.T) {
-	b := New(ivect.New(-2, 0, 1), ivect.New(3, 3, 3))
-	r := b.Refine(2)
-	if r.Lo != ivect.New(-4, 0, 2) || r.Hi != ivect.New(7, 7, 7) {
-		t.Fatalf("Refine = %v", r)
-	}
-	if got := r.Coarsen(2); !got.Equal(b) {
-		t.Fatalf("Coarsen(Refine) = %v, want %v", got, b)
-	}
-	if got := r.NumPts(); got != b.NumPts()*8 {
-		t.Fatalf("Refine(2) NumPts = %d, want %d", got, b.NumPts()*8)
 	}
 }
 

@@ -206,15 +206,6 @@ func (p *Plan) MaxRecvs() int {
 	return m
 }
 
-// RemoteMessages returns the total sends per exchange across ranks.
-func (p *Plan) RemoteMessages() int {
-	n := 0
-	for _, rp := range p.Ranks {
-		n += len(rp.Sends)
-	}
-	return n
-}
-
 // packRegion flattens f over r (reading at p+shift) in component-major,
 // x-fastest order — the payload layout unpackRegion reverses. The
 // shifted region is checked against the FAB once, then appended one

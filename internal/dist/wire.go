@@ -6,11 +6,10 @@
 //
 //	[4B magic "SDW1"][1B type][2B rank][4B step][4B motion][4B count][count x 8B float64 bits]
 //
-// The decoder is hardened the same way checkpoint.Read is: every size is
-// validated against an explicit bound *before* any allocation, so a
-// crafted length or count returns a typed error instead of a panic or an
-// unbounded make. FuzzWireDecode and the corruption corpus in
-// wire_test.go hold that line.
+// The decoder is hardened: every size is validated against an explicit
+// bound *before* any allocation, so a crafted length or count returns a
+// typed error instead of a panic or an unbounded make. FuzzWireDecode and
+// the corruption corpus in wire_test.go hold that line.
 package dist
 
 import (

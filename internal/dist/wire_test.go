@@ -56,8 +56,8 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// corruptCorpus mirrors internal/checkpoint/corruption_test.go: every
-// corrupted, truncated, or oversized frame must produce an error —
+// corruptCorpus is the decoder's corruption corpus: every corrupted,
+// truncated, or oversized frame must produce an error —
 // never a panic, never an allocation sized by attacker-controlled
 // bytes.
 func corruptCorpus() map[string][]byte {

@@ -85,23 +85,11 @@ type DeepHalo struct {
 }
 
 // DeepHaloStats returns the deep-halo trade for an n^dim box with nghost
-// base ghost layers at superstep factor k. It panics on invalid
-// arguments like Ratio does, including a halo deeper than the box (see
-// ErrHaloTooDeep); services validating request parameters should call
-// DeepHaloStatsChecked instead.
-func DeepHaloStats(n, dim, nghost, k int) DeepHalo {
-	dh, err := DeepHaloStatsChecked(n, dim, nghost, k)
-	if err != nil {
-		panic(err.Error())
-	}
-	return dh
-}
-
-// DeepHaloStatsChecked is DeepHaloStats with errors instead of panics:
-// a typed ErrHaloTooDeep when k*nghost exceeds the box extent n (the
-// boundary k == n/nghost is the deepest valid superstep), and plain
-// errors for out-of-range arguments.
-func DeepHaloStatsChecked(n, dim, nghost, k int) (DeepHalo, error) {
+// base ghost layers at superstep factor k. It returns a typed
+// ErrHaloTooDeep when k*nghost exceeds the box extent n (the boundary
+// k == n/nghost is the deepest valid superstep), and plain errors for
+// out-of-range arguments.
+func DeepHaloStats(n, dim, nghost, k int) (DeepHalo, error) {
 	if k < 1 {
 		return DeepHalo{}, fmt.Errorf("ghost: superstep factor k=%d must be >= 1", k)
 	}

@@ -116,8 +116,18 @@ func TestFig1Series(t *testing.T) {
 	}
 }
 
+// deepHalo is DeepHaloStats for arguments a test knows to be valid.
+func deepHalo(t *testing.T, n, dim, nghost, k int) DeepHalo {
+	t.Helper()
+	dh, err := DeepHaloStats(n, dim, nghost, k)
+	if err != nil {
+		t.Fatalf("DeepHaloStats(%d, %d, %d, %d): %v", n, dim, nghost, k, err)
+	}
+	return dh
+}
+
 func TestDeepHaloStats(t *testing.T) {
-	base := DeepHaloStats(32, 3, 2, 1)
+	base := deepHalo(t, 32, 3, 2, 1)
 	if base.K != 1 || base.Depth != 2 {
 		t.Fatalf("base %+v", base)
 	}
@@ -130,7 +140,7 @@ func TestDeepHaloStats(t *testing.T) {
 
 	prev := base
 	for k := 2; k <= 4; k++ {
-		dh := DeepHaloStats(32, 3, 2, k)
+		dh := deepHalo(t, 32, 3, 2, k)
 		if dh.Depth != 2*k {
 			t.Fatalf("K=%d depth %d", k, dh.Depth)
 		}
@@ -156,7 +166,7 @@ func TestDeepHaloStats(t *testing.T) {
 
 	// Exact hand value: n=4, dim=1, g=1, k=2. Sub-steps compute extents
 	// 6 and 4 -> (6+4)/(2*4) = 1.25; halo(2)/2*halo(1) = 4/(2*2) = 1.
-	dh := DeepHaloStats(4, 1, 1, 2)
+	dh := deepHalo(t, 4, 1, 1, 2)
 	if dh.RecomputePerStep != 1.25 {
 		t.Fatalf("recompute %v, want 1.25", dh.RecomputePerStep)
 	}
@@ -165,27 +175,24 @@ func TestDeepHaloStats(t *testing.T) {
 	}
 }
 
-func TestDeepHaloStatsPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { DeepHaloStats(32, 3, 2, 0) },
-		func() { DeepHaloStats(0, 3, 2, 1) },
+func TestDeepHaloStatsErrors(t *testing.T) {
+	for _, c := range []struct{ n, dim, nghost, k int }{
+		{32, 3, 2, 0},
+		{0, 3, 2, 1},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
+		if _, err := DeepHaloStats(c.n, c.dim, c.nghost, c.k); err == nil {
+			t.Errorf("DeepHaloStats(%d, %d, %d, %d): no error", c.n, c.dim, c.nghost, c.k)
+		}
+	}
+	if _, err := DeepHaloStats(8, 3, 2, 5); !errors.Is(err, ErrHaloTooDeep) {
+		t.Errorf("over-deep halo: err %v, want ErrHaloTooDeep", err)
 	}
 }
 
-// TestDeepHaloStatsCheckedBoundary table-tests the k ~= n boundary: the
+// TestDeepHaloStatsBoundary table-tests the k ~= n boundary: the
 // deepest valid superstep is k*nghost == n, one step further is a typed
-// ErrHaloTooDeep, and out-of-range arguments error instead of
-// panicking.
-func TestDeepHaloStatsCheckedBoundary(t *testing.T) {
+// ErrHaloTooDeep, and out-of-range arguments are plain errors.
+func TestDeepHaloStatsBoundary(t *testing.T) {
 	cases := []struct {
 		n, dim, nghost, k int
 		wantErr           error
@@ -207,7 +214,7 @@ func TestDeepHaloStatsCheckedBoundary(t *testing.T) {
 		{n: 8, dim: 3, nghost: -1, k: 1, wantAnyErr: true},       // bad nghost
 	}
 	for _, c := range cases {
-		dh, err := DeepHaloStatsChecked(c.n, c.dim, c.nghost, c.k)
+		dh, err := DeepHaloStats(c.n, c.dim, c.nghost, c.k)
 		switch {
 		case c.wantErr != nil:
 			if !errors.Is(err, c.wantErr) {
@@ -229,11 +236,4 @@ func TestDeepHaloStatsCheckedBoundary(t *testing.T) {
 			}
 		}
 	}
-	// The panicking wrapper now panics (not nonsense) for over-deep halos.
-	defer func() {
-		if recover() == nil {
-			t.Error("DeepHaloStats did not panic for an over-deep halo")
-		}
-	}()
-	DeepHaloStats(8, 3, 2, 5)
 }

@@ -67,11 +67,6 @@ func (v IntVect) Sub(w IntVect) IntVect {
 // Neg returns -v.
 func (v IntVect) Neg() IntVect { return IntVect{-v[0], -v[1], -v[2]} }
 
-// Scale returns s*v componentwise.
-func (v IntVect) Scale(s int) IntVect {
-	return IntVect{s * v[0], s * v[1], s * v[2]}
-}
-
 // Mul returns the componentwise (Hadamard) product v*w.
 func (v IntVect) Mul(w IntVect) IntVect {
 	return IntVect{v[0] * w[0], v[1] * w[1], v[2] * w[2]}
@@ -143,36 +138,10 @@ func (v IntVect) MaxComp() int { return max(v[0], max(v[1], v[2])) }
 // MinComp returns the smallest component.
 func (v IntVect) MinComp() int { return min(v[0], min(v[1], v[2])) }
 
-// CoarsenBy returns v divided by the positive refinement ratio r with
-// flooring division (rounding toward negative infinity), the coarsening rule
-// used by AMR frameworks so that cell -1 coarsens to cell -1, not 0.
-func (v IntVect) CoarsenBy(r int) IntVect {
-	if r <= 0 {
-		panic(fmt.Sprintf("ivect: coarsening ratio %d must be positive", r))
-	}
-	return IntVect{floorDiv(v[0], r), floorDiv(v[1], r), floorDiv(v[2], r)}
-}
-
-// RefineBy returns v multiplied by the positive refinement ratio r.
-func (v IntVect) RefineBy(r int) IntVect {
-	if r <= 0 {
-		panic(fmt.Sprintf("ivect: refinement ratio %d must be positive", r))
-	}
-	return v.Scale(r)
-}
-
 // Mod returns v modulo w componentwise with a result in [0, w) for positive
 // w, i.e. Euclidean remainder. Used for periodic index wrapping.
 func (v IntVect) Mod(w IntVect) IntVect {
 	return IntVect{eucMod(v[0], w[0]), eucMod(v[1], w[1]), eucMod(v[2], w[2])}
-}
-
-func floorDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
 }
 
 func eucMod(a, b int) int {

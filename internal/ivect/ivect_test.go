@@ -52,9 +52,6 @@ func TestArithmetic(t *testing.T) {
 	if got := a.Neg(); got != New(-1, -2, -3) {
 		t.Errorf("Neg = %v", got)
 	}
-	if got := a.Scale(4); got != New(4, 8, 12) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := a.Mul(b); got != New(10, 40, 90) {
 		t.Errorf("Mul = %v", got)
 	}
@@ -131,36 +128,6 @@ func TestSumProdComp(t *testing.T) {
 	}
 }
 
-func TestCoarsenFloors(t *testing.T) {
-	// AMR coarsening rounds toward -inf: cell -1 at ratio 2 lives under
-	// coarse cell -1.
-	cases := []struct {
-		in   IntVect
-		r    int
-		want IntVect
-	}{
-		{New(-1, 0, 1), 2, New(-1, 0, 0)},
-		{New(-4, -3, 7), 4, New(-1, -1, 1)},
-		{New(5, 6, 7), 1, New(5, 6, 7)},
-	}
-	for _, c := range cases {
-		if got := c.in.CoarsenBy(c.r); got != c.want {
-			t.Errorf("%v.CoarsenBy(%d) = %v, want %v", c.in, c.r, got, c.want)
-		}
-	}
-}
-
-func TestRefineCoarsenRoundTrip(t *testing.T) {
-	f := func(x, y, z int8, r uint8) bool {
-		ratio := int(r%7) + 1
-		v := New(int(x), int(y), int(z))
-		return v.RefineBy(ratio).CoarsenBy(ratio) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestModIsPeriodic(t *testing.T) {
 	w := New(8, 8, 8)
 	f := func(x, y, z int16) bool {
@@ -170,7 +137,7 @@ func TestModIsPeriodic(t *testing.T) {
 		inRange := m.AllGE(Zero) && m.AllLT(w)
 		congruent := (v[0]-m[0])%8 == 0 && (v[1]-m[1])%8 == 0 && (v[2]-m[2])%8 == 0
 		// Periodicity: shifting by a period does not change the image.
-		periodic := v.Add(w.Scale(3)).Mod(w) == m
+		periodic := v.Add(w.Mul(Uniform(3))).Mod(w) == m
 		return inRange && congruent && periodic
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -274,37 +274,6 @@ func SmoothFunc(period int) func(p ivect.IntVect, c int) float64 {
 	}
 }
 
-// FluxOnFaces evaluates the full exemplar flux (velocity face average
-// times component face average, eqs. 6-7) for every component on the given
-// face box in direction dir, writing into out (which must cover faces and
-// have NComp components). phi0 must cover the stencil extent of the faces:
-// faces grown by NGhost in dir and by nothing in the other directions.
-//
-// It exists for the AMR flux correction (refluxing): the coarse-fine
-// interface needs the raw face fluxes, which the divergence-accumulating
-// executors never materialize globally. Values are bit-identical to the
-// fluxes the executors consume internally.
-func FluxOnFaces(phi0 *fab.FAB, faces box.Box, dir int, out *fab.FAB) {
-	if phi0.NComp() != NComp || out.NComp() != NComp {
-		panic("kernel: FluxOnFaces needs NComp components")
-	}
-	if !out.Box().ContainsBox(faces) {
-		panic(fmt.Sprintf("kernel: out box %v does not cover faces %v", out.Box(), faces))
-	}
-	// Face i reads cells i-NGhost .. i+NGhost-1 in dir.
-	need := faces.GrowLo(dir, NGhost).GrowHi(dir, NGhost-1)
-	if !phi0.Box().ContainsBox(need) {
-		panic(fmt.Sprintf("kernel: phi0 box %v does not cover stencil extent %v", phi0.Box(), need))
-	}
-	for c := 0; c < NComp; c++ {
-		c := c
-		faces.ForEach(func(p ivect.IntVect) {
-			vel := faceAvgAt(phi0, p, dir, VelComp(dir))
-			out.Set(p, c, Flux2(vel, faceAvgAt(phi0, p, dir, c)))
-		})
-	}
-}
-
 // Work describes the arithmetic in one application of the exemplar to a
 // box, used by the performance model and the benchmark reporting.
 type Work struct {

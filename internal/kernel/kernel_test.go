@@ -281,3 +281,16 @@ func TestWorkFor(t *testing.T) {
 		t.Error("Flops does not sum its parts")
 	}
 }
+
+func TestCheckStateExported(t *testing.T) {
+	v := box.Cube(4)
+	phi0, phi1 := NewState(v)
+	CheckState(phi0, phi1, v) // must not panic on a valid state
+	defer func() {
+		if recover() == nil {
+			t.Error("CheckState accepted undersized phi1")
+		}
+	}()
+	half, _ := v.ChopDir(0, 2)
+	CheckState(phi0, fab.New(half, NComp), v)
+}

@@ -81,8 +81,9 @@ func TestRowKernelsMatchReference(t *testing.T) {
 	for bi, valid := range rowTestBoxes() {
 		for pad := 0; pad < 2; pad++ {
 			rng := rand.New(rand.NewSource(int64(40 + bi)))
-			alloc := valid.GrowLo(0, pad)
-			phi0 := fab.New(GrownBox(valid).GrowLo(0, pad), NComp)
+			padLo := func(b box.Box) box.Box { return box.New(b.Lo.Shift(0, -pad), b.Hi) }
+			alloc := padLo(valid)
+			phi0 := fab.New(padLo(GrownBox(valid)), NComp)
 			phi0.Randomize(rng, 0.25, 1.75)
 			fill := fab.New(alloc, NComp)
 			fill.Randomize(rng, -1, 1)

@@ -66,10 +66,6 @@ func (m Machine) MaxThreads() int {
 // TotalBWGBs returns the aggregate system bandwidth.
 func (m Machine) TotalBWGBs() float64 { return float64(m.Sockets) * m.BWPerSocketGBs }
 
-// LLCPerSocketBytes returns the size of the shared last-level cache of one
-// socket.
-func (m Machine) LLCPerSocketBytes() int64 { return m.L3.SizeBytes }
-
 // SocketsUsed returns how many sockets a compact thread placement touches:
 // threads fill cores socket by socket, and hyper-threads share cores
 // rather than spilling onto new sockets.
