@@ -243,8 +243,8 @@ type Schedule = conform.Runner
 
 // Schedules returns every schedule the conformance sweep checks, in
 // registration order: the 32 studied variants, the schedc-compiled
-// runners (single-step, and the temporal families over K in {1,2,4} and
-// tile edges {box,16,32}), and the FFT spectral backends over K in
+// runners (single-step, and the temporal points K1, K2 and K4 on whole
+// boxes and K2 on 32^3 tiles), and the FFT spectral backends over K in
 // {1,2,4,8,16}.
 func Schedules() []Schedule {
 	return conform.Registry()

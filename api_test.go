@@ -122,9 +122,9 @@ func TestAutotuneCompiled(t *testing.T) {
 			studied++
 		}
 	}
-	// 13 generated rows minus Basic-Sched OT-16 and the six temporal
-	// OT-16/OT-32 points; 32 studied variants minus the twelve with 16-
-	// or 32-cell tiles; all five spectral backends.
+	// 8 generated rows minus Basic-Sched OT-16 and Temporal K2 OT-32;
+	// 32 studied variants minus the twelve with 16- or 32-cell tiles; all
+	// five spectral backends.
 	if studied != 20 || generated != 6 || spectral != 5 {
 		t.Errorf("default set at BoxN=8 measured %d studied, %d generated, %d spectral; want 20, 6, 5",
 			studied, generated, spectral)

@@ -4,9 +4,10 @@
 // them distributed across ranks (in-process loopback, or one rank of a
 // real TCP mesh). Three modes measure schedule sets through the autotuner
 // and print one table each: compare (generated vs hand-written),
-// temporal (the compiled (tile, K) grid with its wall-time and traffic
-// verdicts) and fft (the spectral K ladder and its crossover against the
-// best K4 temporal schedule). Every mode prints; none writes a file.
+// temporal (the compiled (tile, K) points with their wall-time and
+// traffic verdicts) and fft (the spectral K ladder and its crossover
+// against the K4 temporal schedule). Every mode prints; none writes a
+// file.
 //
 // Usage examples:
 //

@@ -5,11 +5,13 @@ import (
 	"math"
 	"net"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"stencilsched"
 	"stencilsched/internal/report"
 )
 
@@ -290,9 +292,16 @@ func TestRunTemporalTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The grid spans the compiled K axis with a K=1 baseline and per-row
-	// figures in both currencies, wall time and modeled traffic.
-	checkSweep(t, tb, []int{1, 2, 4})
+	// The grid spans every compiled K whose tiles fit the box, with a K=1
+	// baseline and per-row figures in both currencies, wall time and
+	// modeled traffic.
+	var ks []int
+	for _, s := range stencilsched.Schedules() {
+		if s.Generated && s.TemporalK > 0 && s.TileEdge <= o.n && !slices.Contains(ks, s.TemporalK) {
+			ks = append(ks, s.TemporalK)
+		}
+	}
+	checkSweep(t, tb, ks)
 	for i, b := range column(t, tb, 5) {
 		if !(b > 0) {
 			t.Fatalf("missing traffic model in row %v", tb.Rows[i])

@@ -49,7 +49,7 @@ func addTuneRow(t *report.Table, r *stencilsched.TuneResult, model any) {
 }
 
 // temporalTable measures the compiled temporal schedule family — the
-// (tile, K) grid the schedc compiler emits — through the same autotuner
+// (tile, K) points the schedc compiler emits — through the same autotuner
 // the API exposes. Each row carries perfmodel's DRAM traffic for its
 // (tile, K) on the -machine, per cell per Euler step: the locality
 // currency of the trade, independent of this host's compute speed. The

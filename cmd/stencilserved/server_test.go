@@ -463,7 +463,7 @@ func TestRunDrainsInFlightJobsOnShutdown(t *testing.T) {
 	case snap := <-polled:
 		t.Fatalf("long poll ended before shutdown began: %+v", snap)
 	}
-	time.Sleep(20 * time.Millisecond) // let the handler park on the job
+	waitUntil(t, "the handler parks on the job", func() bool { return s.queue.Stats().Waiters == 1 })
 	shutdown := time.Now()
 	cancel() // the SIGINT stand-in
 	// Release the in-flight job only once shutdown has ended the long
@@ -604,7 +604,7 @@ func TestAutotuneRejectsInfeasibleTileCandidate(t *testing.T) {
 	// job — studied and generated schedules alike.
 	for _, c := range []struct{ candidate, edge string }{
 		{"Shift-Fuse OT-32: P<Box", "32"},
-		{"Temporal K2 OT-16 (generated)", "16"},
+		{"Temporal K2 OT-32 (generated)", "32"},
 	} {
 		var e errorResponse
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/autotune",

@@ -18,8 +18,8 @@ func TestRegistryCoverage(t *testing.T) {
 	rs := Registry()
 	// Studied variants + every generated entry + 5 spectral FFT runners.
 	want := len(sched.Studied()) + len(generated.Entries()) + 5
-	if len(rs) != want || want != 50 {
-		t.Fatalf("registry has %d runners, its parts sum to %d, want 50 (32 studied + 13 generated + 5 spectral)", len(rs), want)
+	if len(rs) != want || want != 45 {
+		t.Fatalf("registry has %d runners, its parts sum to %d, want 45 (32 studied + 8 generated + 5 spectral)", len(rs), want)
 	}
 	seen := map[string]bool{}
 	gen, temporal, spectral := 0, 0, 0
@@ -45,11 +45,11 @@ func TestRegistryCoverage(t *testing.T) {
 			t.Errorf("RunnerByName(%q) = %q, %v", r.Name, got.Name, ok)
 		}
 	}
-	if gen != 13 {
-		t.Errorf("registry has %d generated runners, want 13 (4 classic + 9 temporal)", gen)
+	if gen != 8 {
+		t.Errorf("registry has %d generated runners, want 8 (4 classic + 4 temporal)", gen)
 	}
-	if temporal != 14 {
-		t.Errorf("registry has %d temporal runners, want 14 (9 generated + 5 spectral)", temporal)
+	if temporal != 9 {
+		t.Errorf("registry has %d temporal runners, want 9 (4 generated + 5 spectral)", temporal)
 	}
 	if spectral != 5 {
 		t.Errorf("registry has %d spectral runners, want 5 (K 1/2/4/8/16)", spectral)

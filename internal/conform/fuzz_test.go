@@ -10,6 +10,19 @@ func fuzzRunner(idx uint8) Runner {
 	return reg[int(idx)%len(reg)]
 }
 
+// runnerIndex is the fuzzRunner index of the named runner; it fails
+// the fuzz target if no runner has that name.
+func runnerIndex(f *testing.F, name string) uint8 {
+	f.Helper()
+	for i, r := range Registry() {
+		if r.Name == name {
+			return uint8(i)
+		}
+	}
+	f.Fatalf("no runner named %q", name)
+	return 0
+}
+
 // FuzzConformance fuzzes single-box conformance: the fuzzer picks a
 // runner and raw case fields, Normalized clamps them into a legal
 // geometry, and every conformance property must hold. On divergence the
@@ -29,14 +42,14 @@ func FuzzConformance(f *testing.F) {
 	f.Add(int64(4), uint8(24), int8(0), int8(0), int8(0), uint8(32), uint8(5), uint8(2), uint8(0), uint8(2), uint8(8), false)
 	f.Add(int64(5), uint8(32), int8(-8), int8(-8), int8(-8), uint8(6), uint8(6), uint8(6), uint8(3), uint8(1), uint8(3), true)
 	f.Add(int64(6), uint8(33), int8(4), int8(4), int8(4), uint8(12), uint8(7), uint8(9), uint8(0), uint8(0), uint8(1), false)
-	// Temporal-blocking runners (the K axis): a tiled generated K2, a
-	// tiled generated K4 under threads, and the generated K4 on a ragged
-	// shifted box —
-	// mutation from these reaches the deep-ghost contract and the
-	// wavefront-in-time guards.
-	f.Add(int64(7), uint8(40), int8(0), int8(0), int8(0), uint8(8), uint8(8), uint8(8), uint8(0), uint8(0), uint8(2), false)
-	f.Add(int64(8), uint8(44), int8(-5), int8(3), int8(1), uint8(9), uint8(6), uint8(11), uint8(1), uint8(1), uint8(4), true)
-	f.Add(int64(9), uint8(42), int8(2), int8(-7), int8(0), uint8(12), uint8(5), uint8(7), uint8(0), uint8(1), uint8(1), false)
+	// Temporal-blocking runners (the K axis), resolved by name so a
+	// registry change cannot move them: the tiled generated K2, the
+	// generated K4 under threads on a ragged shifted box, and the
+	// whole-box generated K2 on a shifted box — mutation from these
+	// reaches the deep-ghost contract and the wavefront-in-time guards.
+	f.Add(int64(7), runnerIndex(f, "Temporal K2 OT-32 (generated)"), int8(0), int8(0), int8(0), uint8(8), uint8(8), uint8(8), uint8(0), uint8(0), uint8(2), false)
+	f.Add(int64(8), runnerIndex(f, "Temporal K4 (generated)"), int8(-5), int8(3), int8(1), uint8(9), uint8(6), uint8(11), uint8(1), uint8(1), uint8(4), true)
+	f.Add(int64(9), runnerIndex(f, "Temporal K2 (generated)"), int8(2), int8(-7), int8(0), uint8(12), uint8(5), uint8(7), uint8(0), uint8(1), uint8(1), false)
 
 	f.Fuzz(func(t *testing.T, seed int64, runner uint8,
 		lo0, lo1, lo2 int8, s0, s1, s2 uint8,

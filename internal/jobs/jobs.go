@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -127,6 +128,7 @@ type Stats struct {
 	// Evicted counts terminal jobs dropped from the bounded history; the
 	// lifecycle counters above only see retained jobs.
 	Evicted      int `json:"evicted"`
+	Waiters      int `json:"waiters"` // callers parked in Wait right now
 	Workers      int `json:"workers"`
 	ThreadsInUse int `json:"threads_in_use"`
 	ThreadCap    int `json:"thread_cap"`
@@ -147,6 +149,7 @@ type Queue struct {
 	evicted    int            // terminal jobs dropped from the history
 	tenantCap  int            // max live jobs per tenant (0 = unlimited)
 	live       map[string]int // live (non-terminal) jobs per tenant
+	waiters    atomic.Int64   // callers parked in Wait
 	wg         sync.WaitGroup
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -287,6 +290,8 @@ func (q *Queue) Wait(ctx context.Context, id string) (Snapshot, bool) {
 	if !ok {
 		return Snapshot{}, false
 	}
+	q.waiters.Add(1)
+	defer q.waiters.Add(-1)
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -393,7 +398,8 @@ func (q *Queue) evictLocked() {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := Stats{Workers: q.workers, ThreadCap: q.sem.cap, ThreadsInUse: q.sem.inUse(), Evicted: q.evicted}
+	s := Stats{Workers: q.workers, ThreadCap: q.sem.cap, ThreadsInUse: q.sem.inUse(), Evicted: q.evicted,
+		Waiters: int(q.waiters.Load())}
 	for _, j := range q.jobs {
 		switch j.status {
 		case StatusPending:

@@ -101,7 +101,11 @@ func TestWait(t *testing.T) {
 					answers <- answer{s, ok}
 				}()
 			}
-			time.Sleep(10 * time.Millisecond) // let the waiters park
+			if c.want != "" && c.expire == 0 {
+				// Act only once every waiter is parked; an unknown id
+				// parks none, and an expiring waiter may already be gone.
+				waitWaiters(t, q, n)
+			}
 			act()
 			done := make(chan struct{})
 			go func() { wg.Wait(); close(done) }()
@@ -144,4 +148,16 @@ func submit(t *testing.T, q *Queue, fn Func) string {
 		t.Fatal(err)
 	}
 	return s.ID
+}
+
+// waitWaiters polls until exactly n callers are parked in q.Wait.
+func waitWaiters(t *testing.T, q *Queue, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for q.Stats().Waiters != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked after 5s, want %d", q.Stats().Waiters, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -108,13 +108,13 @@ func SpectralSolveWork(n, k int, m machine.Machine, p int) SpectralWork {
 }
 
 // SpectralCrossoverK returns the smallest K in ks at which the modeled
-// spectral per-step time beats the best temporal schedule's modeled
-// per-step time on the same box (found by BestTemporalConfig over the
-// given tiles and temporal Ks), or 0 if the spectral backend never
+// spectral per-step time beats the modeled per-step time of the
+// temporal schedule at (tile, temporalK) on the same box — the one a
+// measurement compares against — or 0 if the spectral backend never
 // wins in the range. This is the model-side prediction of the
 // crossover `stencilbench -mode fft` measures.
-func SpectralCrossoverK(n int, m machine.Machine, p int, tiles, temporalKs, ks []int) int {
-	_, _, tr := BestTemporalConfig(n, m, p, tiles, temporalKs)
+func SpectralCrossoverK(n int, m machine.Machine, p, tile, temporalK int, ks []int) int {
+	tr := TemporalTrafficBytes(n, tile, temporalK, m, p)
 	stencilStep := float64(tr.BytesPerStep) / (bandwidthGBs(m, p, false) * 1e9)
 	for _, k := range ks {
 		if SpectralSolveWork(n, k, m, p).StepSeconds < stencilStep {

@@ -33,7 +33,7 @@ func TestSpectralWorkShape(t *testing.T) {
 func TestSpectralCrossoverExists(t *testing.T) {
 	m := machine.All()[0]
 	ks := []int{1, 2, 4, 8, 16}
-	k := SpectralCrossoverK(64, m, 8, []int{0, 16, 32}, []int{1, 2, 4}, ks)
+	k := SpectralCrossoverK(64, m, 8, 0, 4, ks)
 	if k == 0 {
 		t.Fatalf("no modeled crossover K in %v on 64^3 — the spectral fast path should win at deep K", ks)
 	}

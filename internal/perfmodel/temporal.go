@@ -136,21 +136,3 @@ func TemporalTrafficBytes(n, tile, k int, m machine.Machine, p int) TemporalTraf
 		RecomputeFactor: rf,
 	}
 }
-
-// BestTemporalConfig searches a (tile, K) grid for the lowest modeled
-// per-step traffic and returns the winning point — the model-driven
-// counterpart of the measured joint search Autotune runs. Zero
-// tiles mean the whole box.
-func BestTemporalConfig(n int, m machine.Machine, p int, tiles, ks []int) (tile, k int, tr TemporalTraffic) {
-	first := true
-	for _, t := range tiles {
-		for _, kk := range ks {
-			cand := TemporalTrafficBytes(n, t, kk, m, p)
-			if first || cand.BytesPerStep < tr.BytesPerStep {
-				tile, k, tr = t, kk, cand
-				first = false
-			}
-		}
-	}
-	return tile, k, tr
-}

@@ -95,21 +95,21 @@ func TestTemporalSpillKillsTheWin(t *testing.T) {
 	}
 }
 
-func TestBestTemporalConfigPrefersDeepKOnFittingTiles(t *testing.T) {
+// TestTemporalTrafficPrefersDeepKOnFittingTiles pins the traffic ordering
+// at 96^3 on the desktop: the whole box spills, while 16^3 tiles keep
+// even K=4 in the cache share, and there per-step bytes fall with K
+// below the K=1 whole-box baseline.
+func TestTemporalTrafficPrefersDeepKOnFittingTiles(t *testing.T) {
 	desk := machine.IvyBridgeDesktop()
-	tiles := []int{0, 16, 32}
-	ks := []int{1, 2, 4}
-	tile, k, tr := BestTemporalConfig(96, desk, 1, tiles, ks)
-	if k <= 1 {
-		t.Errorf("best K = %d; expected the model to prefer K>1 at 96^3", k)
+	deep := TemporalTrafficBytes(96, 16, 4, desk, 1)
+	if !deep.Fits {
+		t.Errorf("16^3-tile K=4 working set does not fit the cache share")
 	}
-	if !tr.Fits {
-		t.Errorf("best config (tile=%d K=%d) does not fit the cache share", tile, k)
-	}
-	base := TemporalTrafficBytes(96, 0, 1, desk, 1)
-	if tr.BytesPerStep >= base.BytesPerStep {
-		t.Errorf("best per-step bytes %d not below the K=1 whole-box baseline %d",
-			tr.BytesPerStep, base.BytesPerStep)
+	for _, c := range []struct{ tile, k int }{{16, 1}, {16, 2}, {0, 1}} {
+		if tr := TemporalTrafficBytes(96, c.tile, c.k, desk, 1); deep.BytesPerStep >= tr.BytesPerStep {
+			t.Errorf("16^3-tile K=4 per-step bytes %d not below tile=%d K=%d's %d",
+				deep.BytesPerStep, c.tile, c.k, tr.BytesPerStep)
+		}
 	}
 }
 

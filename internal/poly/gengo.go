@@ -72,57 +72,6 @@ func (s *Set) Loops(vars []string, params int) ([]Loop, error) {
 	return loops, nil
 }
 
-// GenGo emits a Go loop nest that scans the set in lexicographic order —
-// the literal code-generation step of CodeGen+ (the paper's Section IV-E
-// tool emits C; this emits Go). vars names the loop variables, outermost
-// first, and body is the statement placed in the innermost loop (use the
-// variable names). The emitted code depends on two integer-division
-// helpers with floor/ceil semantics:
-//
-//	func cdiv(a, b int) int // ceil(a/b), b > 0
-//	func fdiv(a, b int) int // floor(a/b), b > 0
-//
-// which Helpers returns — emit them once per generated package, not per
-// nest. For sets whose constraints all have unit coefficients the
-// generated nest visits exactly the set's points; for general
-// coefficients the projection is an over-approximation and a guard `if`
-// is emitted around the body.
-func (s *Set) GenGo(vars []string, body string) (string, error) {
-	return s.GenGoParams(vars, 0, body)
-}
-
-// GenGoParams is GenGo with the first params dimensions treated as
-// externally bound symbols (see Loops): loops are emitted only for the
-// remaining dimensions, with parameter names appearing symbolically in
-// the bound expressions.
-func (s *Set) GenGoParams(vars []string, params int, body string) (string, error) {
-	loops, err := s.Loops(vars, params)
-	if err != nil {
-		return "", err
-	}
-	needGuard := false
-	for _, l := range loops {
-		needGuard = needGuard || l.Guarded
-	}
-	var b strings.Builder
-	indent := ""
-	for _, l := range loops {
-		fmt.Fprintf(&b, "%sfor %s := %s; %s <= %s; %s++ {\n",
-			indent, l.Var, l.Lo, l.Var, l.Hi, l.Var)
-		indent += "\t"
-	}
-	if needGuard {
-		fmt.Fprintf(&b, "%sif %s {\n%s\t%s\n%s}\n", indent, GuardExpr(s, vars), indent, body, indent)
-	} else {
-		fmt.Fprintf(&b, "%s%s\n", indent, body)
-	}
-	for range loops {
-		indent = indent[:len(indent)-1]
-		fmt.Fprintf(&b, "%s}\n", indent)
-	}
-	return b.String(), nil
-}
-
 // Helpers returns the integer-division helper functions the generated
 // code calls.
 func Helpers() string {
@@ -225,34 +174,4 @@ func foldBounds(exprs []string, fn string) string {
 		out = fmt.Sprintf("%s(%s, %s)", fn, out, e)
 	}
 	return out
-}
-
-// GuardExpr renders the full membership test of the set as a Go boolean
-// expression over vars — the guard a code generator wraps around a nest
-// body when the Fourier–Motzkin bounds over-approximate (non-unit
-// coefficients), and the per-statement execution condition when several
-// statements with different domains fuse into one nest.
-func GuardExpr(s *Set, vars []string) string {
-	var parts []string
-	for _, a := range s.Cons {
-		var terms []string
-		for i, c := range a.Coef {
-			if c == 0 {
-				continue
-			}
-			switch c {
-			case 1:
-				terms = append(terms, vars[i])
-			case -1:
-				terms = append(terms, "-"+vars[i])
-			default:
-				terms = append(terms, fmt.Sprintf("%d*%s", c, vars[i]))
-			}
-		}
-		if a.Const != 0 || len(terms) == 0 {
-			terms = append(terms, fmt.Sprintf("%d", a.Const))
-		}
-		parts = append(parts, strings.Join(terms, "+")+" >= 0")
-	}
-	return strings.Join(parts, " && ")
 }

@@ -2,24 +2,25 @@ package poly
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the GenGo golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the Loops golden files")
 
 // goldenCases are the representative code-generation shapes of the
-// schedule compiler, committed as golden files so any change to bound
-// emission shows up as a reviewable diff instead of a silent behavior
-// change. Parameters (box corners, tile size symbols) exercise the
-// parametric form schedc lowers through.
+// schedule compiler, committed as golden files of their Loops bounds so
+// any change to bound emission shows up as a reviewable diff instead of a
+// silent behavior change. Parameters (box corners, tile size symbols)
+// exercise the parametric form schedc lowers through.
 func goldenCases() []struct {
 	name   string
 	params int
 	vars   []string
 	set    *Set
-	body   string
 } {
 	// box: the plain valid-box nest with symbolic corners —
 	// params (lo0, hi0, lo1, hi1), loops (y, x).
@@ -60,23 +61,37 @@ func goldenCases() []struct {
 		params int
 		vars   []string
 		set    *Set
-		body   string
 	}{
-		{"box", 4, []string{"lo0", "hi0", "lo1", "hi1", "y", "x"}, boxSet, "visit(y, x)"},
-		{"shifted_union", 2, []string{"lo", "hi", "t"}, union, "visit(t)"},
-		{"tile", 2, []string{"lo", "hi", "t", "x"}, tile, "visit(t, x)"},
-		{"wavefront_slice", 2, []string{"n", "w", "y", "x"}, wf, "visit(y, x)"},
-		{"guard", 1, []string{"n", "x"}, guard, "visit(x)"},
+		{"box", 4, []string{"lo0", "hi0", "lo1", "hi1", "y", "x"}, boxSet},
+		{"shifted_union", 2, []string{"lo", "hi", "t"}, union},
+		{"tile", 2, []string{"lo", "hi", "t", "x"}, tile},
+		{"wavefront_slice", 2, []string{"n", "w", "y", "x"}, wf},
+		{"guard", 1, []string{"n", "x"}, guard},
 	}
+}
+
+// renderLoops prints a nest's bounds one loop per line, outermost first,
+// marking the loops whose body needs a membership guard.
+func renderLoops(loops []Loop) string {
+	var b strings.Builder
+	for _, l := range loops {
+		fmt.Fprintf(&b, "%s: %s .. %s", l.Var, l.Lo, l.Hi)
+		if l.Guarded {
+			b.WriteString(" (guarded)")
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 func TestGenGoGolden(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			code, err := tc.set.GenGoParams(tc.vars, tc.params, tc.body)
+			loops, err := tc.set.Loops(tc.vars, tc.params)
 			if err != nil {
 				t.Fatal(err)
 			}
+			code := renderLoops(loops)
 			path := filepath.Join("testdata", tc.name+".golden")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(code), 0o644); err != nil {
@@ -89,7 +104,7 @@ func TestGenGoGolden(t *testing.T) {
 				t.Fatalf("missing golden file (run `go test ./internal/poly -run Golden -update`): %v", err)
 			}
 			if code != string(want) {
-				t.Errorf("generated code changed; diff against %s and re-run with -update if intended.\ngot:\n%s\nwant:\n%s",
+				t.Errorf("loop bounds changed; diff against %s and re-run with -update if intended.\ngot:\n%s\nwant:\n%s",
 					path, code, want)
 			}
 		})
@@ -119,31 +134,41 @@ func TestGenGoGoldenSemantics(t *testing.T) {
 	}
 }
 
-// TestGenGoParamsMatchesBoundEnumeration cross-checks the parametric tile
-// bounds against Scan on numeric instantiations: binding the parameters
-// and scanning must visit exactly the points the generated nest would.
+// TestGenGoParamsMatchesBoundEnumeration cross-checks every golden
+// case's parametric bounds against Scan on numeric instantiations:
+// binding the parameters and scanning must visit exactly the points the
+// nest built from Loops visits.
 func TestGenGoParamsMatchesBoundEnumeration(t *testing.T) {
+	binds := map[string][][]int{
+		"box":             {{0, 3, -1, 2}, {5, 5, 0, 0}, {2, 1, 0, 3}},
+		"shifted_union":   {{0, 7}, {-3, -3}},
+		"tile":            {{0, 15}, {-3, 20}, {5, 5}},
+		"wavefront_slice": {{4, 0}, {4, 3}, {4, 8}, {5, 11}},
+		"guard":           {{0}, {3}},
+	}
+	for _, tc := range goldenCases() {
+		for _, params := range binds[tc.name] {
+			checkNestMatchesScan(t, tc.name, tc.set, tc.vars, params)
+		}
+	}
+	// The tile nest visits every point of the interval once, in the tile
+	// its offset from lo names.
 	tile := goldenCases()[2]
 	for _, bounds := range [][2]int{{0, 15}, {-3, 20}, {5, 5}} {
 		lo, hi := bounds[0], bounds[1]
-		bound := tile.set.clone()
-		bound.AddEq(Affine{Coef: []int{1}, Const: -lo})
-		bound.AddEq(Affine{Coef: []int{0, 1}, Const: -hi})
-		n := 0
-		seen := map[[2]int]bool{}
-		bound.Scan(func(x []int) {
-			n++
-			seen[[2]int{x[2], x[3]}] = true
-		})
-		want := hi - lo + 1
-		if n != want {
-			t.Errorf("lo=%d hi=%d: scanned %d points, want %d", lo, hi, n, want)
+		loops, err := tile.set.Loops(tile.vars, tile.params)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for x := lo; x <= hi; x++ {
-			tt := (x - lo) / 8
-			if !seen[[2]int{tt, x}] {
-				t.Errorf("lo=%d hi=%d: missing point (t=%d, x=%d)", lo, hi, tt, x)
+		n := 0
+		scanLoops(t, loops, tile.set, tile.vars, []int{lo, hi}, func(x []int) {
+			n++
+			if want := (x[3] - lo) / 8; x[2] != want {
+				t.Errorf("lo=%d hi=%d: x=%d in tile %d, want %d", lo, hi, x[3], x[2], want)
 			}
+		})
+		if want := hi - lo + 1; n != want {
+			t.Errorf("lo=%d hi=%d: nest visited %d points, want %d", lo, hi, n, want)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func BenchmarkFused48(b *testing.B) {
 }
 
 // BenchmarkTemporal48 is BenchmarkFused48 for the compiled schedules: the
-// generated temporal grid (K Euler steps per sweep) and the two spatial
+// generated temporal points (K Euler steps per sweep) and the two spatial
 // runners the temporal sub-step is built from, on one
 // 48^3 box and one thread, in ns per cell per Euler step. -tags purego
 // selects the Go loops here too (-bench Temporal48 -benchtime 5x).

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"stencilsched/internal/box"
@@ -57,11 +58,10 @@ func TestGeneratedPackageVetClean(t *testing.T) {
 	}
 }
 
-// genLines is the line budget of the emitted files: what they take now
-// that every statement alone at the x level is one row call (5 321 lines;
-// 6 103 with the series passes expanded per point, 18 084 before row
-// statements) plus a tenth.
-const genLines = 5850
+// genLines is the line budget of the emitted files: what the eight
+// compiled runners take (3 256 lines; 5 321 with the nine-point
+// temporal grid, 18 084 before row statements) plus a tenth.
+const genLines = 3580
 
 // TestGeneratedLineBudget keeps the emitted code from creeping back up:
 // a schedule whose lowering needs more lines than this should share a row
@@ -162,16 +162,32 @@ func temporalDelta(phi0 *fab.FAB, valid box.Box, k int) *fab.FAB {
 	return delta
 }
 
+// temporalKs returns the distinct temporal depths of the entries, in
+// entry order.
+func temporalKs() []int {
+	var ks []int
+	for _, e := range Entries() {
+		if e.TemporalK > 0 && !slices.Contains(ks, e.TemporalK) {
+			ks = append(ks, e.TemporalK)
+		}
+	}
+	return ks
+}
+
 // TestTemporalEntriesBitwiseEqualComposition pins every generated
 // temporal runner (all K and tile edges) bitwise against composing
 // kernel.Reference K times.
 func TestTemporalEntriesBitwiseEqualComposition(t *testing.T) {
+	ks := temporalKs()
+	if len(ks) == 0 {
+		t.Fatal("no generated temporal entries")
+	}
 	for bi, b := range testBoxes {
-		for _, k := range []int{1, 2, 4} {
+		for _, k := range ks {
 			if k == 4 && b.NumPts() > 40*40*40 {
 				// Composing the reference four times at 48^3 costs more
-				// than the rest of this test; K4's remainder tiles are
-				// covered at 33^3 and 20^3.
+				// than the rest of this test; K4 runs whole-box only, and
+				// the smaller test boxes check it.
 				continue
 			}
 			phi0 := fab.New(b.Grow(k*kernel.NGhost), kernel.NComp)
@@ -186,13 +202,13 @@ func TestTemporalEntriesBitwiseEqualComposition(t *testing.T) {
 // statements: once the arena is warm, a fused runner — spatial and
 // temporal, tiles included — allocates nothing.
 func TestRunnersSteadyStateAllocs(t *testing.T) {
-	b := box.Cube(20)
+	b := box.Cube(36)
 	phi0 := fab.New(b.Grow(2*kernel.NGhost), kernel.NComp)
 	phi1 := fab.New(b, kernel.NComp)
 	for name, run := range map[string]func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error{
 		"RunShiftFuse":      RunShiftFuse,
-		"RunTemporalK2OT32": RunTemporalK2OT32,
-		"RunTemporalK2OT16": RunTemporalK2OT16, // 20^3: more than one tile
+		"RunTemporalK2":     RunTemporalK2,
+		"RunTemporalK2OT32": RunTemporalK2OT32, // 36^3: more than one tile
 	} {
 		step := func() {
 			if err := run(phi0, phi1, b, 1); err != nil {
