@@ -44,8 +44,8 @@ func TestMeasuredRepetitionsLeaveOneApplication(t *testing.T) {
 }
 
 // TestAutotuneCompiledResetsBetweenReps drives Autotune with an
-// instrumented temporal candidate: every repetition must
-// see phi1 zeroed (the accumulate contract) and phi0 covering the
+// instrumented temporal candidate: every repetition, the untimed
+// warm-up included, must see phi1 zeroed (the accumulate contract) and phi0 covering the
 // K-step ghost halo. A missing per-repetition reset or an NGhost-deep
 // state for a TemporalK=2 candidate fails here.
 func TestAutotuneCompiledResetsBetweenReps(t *testing.T) {
@@ -84,8 +84,8 @@ func TestAutotuneCompiledResetsBetweenReps(t *testing.T) {
 	if len(res) != 1 || res[0].Schedule.Name != "probe K2" {
 		t.Fatalf("results %+v", res)
 	}
-	if got, want := calls.Load(), int64(reps*p.NumBoxes); got != want {
-		t.Errorf("probe ran %d times, want %d", got, want)
+	if got, want := calls.Load(), int64((reps+1)*p.NumBoxes); got != want {
+		t.Errorf("probe ran %d times, want %d (one warm-up and %d timed calls per box)", got, want, reps)
 	}
 	if n := shallow.Load(); n != 0 {
 		t.Errorf("%d runs saw phi0 without the 2*NGhost temporal halo", n)

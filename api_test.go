@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"stencilsched/internal/box"
 	"stencilsched/internal/conform"
+	"stencilsched/internal/fab"
 )
 
 func TestVariantsCountAndNames(t *testing.T) {
@@ -290,5 +293,35 @@ func TestTableITable(t *testing.T) {
 	}
 	if !strings.Contains(tab.Rows[0][0], "Series") {
 		t.Fatalf("first row %v", tab.Rows[0])
+	}
+}
+
+// TestAutotuneWarmsUpEachCandidate counts the runs behind one Autotune:
+// every candidate runs once untimed and then reps times, on every box.
+func TestAutotuneWarmsUpEachCandidate(t *testing.T) {
+	const reps = 3
+	p := Problem{BoxN: 8, NumBoxes: 2, Threads: 2}
+	names := []string{"Baseline: P>=Box", "Shift-Fuse: P<Box", "Temporal K2 (generated)"}
+	counts := make([]atomic.Int64, len(names))
+	var cands []Schedule
+	for i, name := range names {
+		s, err := ScheduleByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := s.Run
+		s.Run = func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
+			counts[i].Add(1)
+			return run(phi0, phi1, valid, threads)
+		}
+		cands = append(cands, s)
+	}
+	if _, err := Autotune(context.Background(), p, reps, cands); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if got, want := counts[i].Load(), int64((reps+1)*p.NumBoxes); got != want {
+			t.Errorf("%s ran %d box sweeps, want %d: one warm-up and %d timed calls on %d boxes", name, got, want, reps, p.NumBoxes)
+		}
 	}
 }

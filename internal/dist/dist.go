@@ -246,7 +246,9 @@ type Result struct {
 	PerRank []RankResult
 	// Stats sums all ranks.
 	Stats Stats
-	// Fabs holds one valid-region FAB per layout box (gathered).
+	// Fabs holds each layout box's FAB as its rank left it, by box
+	// index: deep-ghosted, and only the valid region
+	// (Plan.Layout.Boxes[i]) is the solution. Readers clip to it.
 	Fabs []*fab.FAB
 	// WallSec is the coordinator's wall time for the whole solve.
 	WallSec float64

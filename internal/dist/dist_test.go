@@ -376,6 +376,60 @@ func TestDistInteriorOverlap(t *testing.T) {
 	}
 }
 
+// TestDistFullyLocalBoxes runs a layout in which some boxes have no
+// remote face: a z-column of six 8^3 boxes with walls in z, split over
+// two ranks, so each rank's outer boxes see only their own rank. Such a
+// box is all interior and gets its update while the receive goroutine
+// still writes the ghosts of the rank's other boxes. The run must match
+// the single-rank run and the reference oracle bit for bit.
+func TestDistFullyLocalBoxes(t *testing.T) {
+	l, err := layout.Decompose(box.NewSized(ivect.Zero, ivect.IntVect{8, 8, 48}), 8, [3]bool{true, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := testField(5)
+	const steps = 5
+	ld := oracleAdvance(l, field, steps)
+	for _, name := range []string{"Baseline-CLO: P>=Box", "Shift-Fuse OT-4: P<Box"} {
+		for _, haloK := range []int{1, 2, 4} {
+			cfg := Config{
+				Layout: l, Ranks: 2, Variant: mustVariant(t, name), HaloK: haloK,
+				Steps: steps, Dt: testDt, Threads: 2, Init: field,
+			}
+			label := fmt.Sprintf("%s K=%d", name, haloK)
+			plan, err := cfg.Plan()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			local := 0
+			for _, f := range plan.RemoteFaces {
+				if f == 0 {
+					local++
+				}
+			}
+			if local == 0 || local == len(plan.RemoteFaces) {
+				t.Fatalf("%s: %d of %d boxes have no remote face; want some, not all", label, local, len(plan.RemoteFaces))
+			}
+			res, err := RunLoopback(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			one := cfg
+			one.Ranks = 1
+			res1, err := RunLoopback(context.Background(), one)
+			if err != nil {
+				t.Fatalf("%s ranks=1: %v", label, err)
+			}
+			for i, b := range l.Boxes {
+				if d, at, c := res.Fabs[i].MaxDiff(res1.Fabs[i], b); d != 0 {
+					t.Fatalf("%s: box %d differs from the single-rank run by %g at %v comp %d", label, i, d, at, c)
+				}
+			}
+			assertMatchesOracle(t, res, ld, label)
+		}
+	}
+}
+
 // TestRunTCP runs a real 3-rank mesh over 127.0.0.1 sockets and checks
 // every rank's boxes against the loopback run bit for bit.
 func TestRunTCP(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 
 	"stencilsched/internal/cluster"
 	"stencilsched/internal/fab"
-	"stencilsched/internal/kernel"
 )
 
 // validate normalizes cfg and builds its plan.
@@ -100,10 +99,7 @@ func RunLoopbackHub(ctx context.Context, cfg Config, plan *Plan, hub *Hub) (*Res
 		res.PerRank[r] = *rr
 		res.Stats.Add(rr.Stats)
 		for i, bi := range rr.Boxes {
-			b := plan.Layout.Boxes[bi]
-			out := fab.New(b, kernel.NComp)
-			out.CopyFrom(rr.Fabs[i], b)
-			res.Fabs[bi] = out
+			res.Fabs[bi] = rr.Fabs[i]
 		}
 	}
 	return res, nil

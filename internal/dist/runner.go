@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"stencilsched/internal/box"
@@ -21,7 +22,17 @@ type runner struct {
 	tr   Transport
 
 	fabs map[int]*fab.FAB // box index -> deep-ghosted solution FAB
-	accs map[int]*fab.FAB // box index -> divergence accumulator
+	accs map[int]*fab.FAB // box index -> divergence accumulator, sized for sub-step 0
+
+	// The fused update of the current sub-step, by position in
+	// rp.Boxes: the region each box updates and how many of its pieces
+	// are still to be swept. pieces names the boxes of the states
+	// execPieces hands to the schedule.
+	regs   []box.Box
+	left   []atomic.Int32
+	pieces []pieceRef
+	states []variants.State
+	doneFn variants.Epilogue
 
 	pending    map[pendKey]Frame
 	pendingCap int
@@ -58,6 +69,9 @@ func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankRe
 	}
 	r.pending = map[pendKey]Frame{}
 	r.pendingCap = 2*len(r.rp.Recvs) + 16
+	r.regs = make([]box.Box, len(r.rp.Boxes))
+	r.left = make([]atomic.Int32, len(r.rp.Boxes))
+	r.doneFn = r.pieceDone
 
 	for _, bi := range r.rp.Boxes {
 		b := plan.Layout.Boxes[bi]
@@ -157,24 +171,32 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 	go func() { recvDone <- r.recvAll(ctx, super) }()
 
 	var interiors, shells []pieceRef
-	for _, bi := range r.rp.Boxes {
+	for pos, bi := range r.rp.Boxes {
 		b := r.plan.Layout.Boxes[bi]
 		reg := r.region(b, 0, k)
+		r.regs[pos] = reg
 		interior := interiorOf(b, reg, r.plan.RemoteFaces[bi])
 		if interior.IsEmpty() {
-			shells = append(shells, pieceRef{bi, reg})
+			shells = append(shells, pieceRef{pos, reg})
 			continue
 		}
-		interiors = append(interiors, pieceRef{bi, interior})
-		shells = append(shells, shellPieces(reg, interior, bi)...)
+		interiors = append(interiors, pieceRef{pos, interior})
+		shells = append(shells, shellPieces(reg, interior, pos)...)
+	}
+	// A box's update waits for its last piece: until then its other
+	// pieces still read the state around it. A box with no remote face
+	// is all interior and updates before the exchange lands; no frame
+	// writes into it.
+	for _, pc := range interiors {
+		r.left[pc.pos].Add(1)
+	}
+	for _, pc := range shells {
+		r.left[pc.pos].Add(1)
 	}
 
 	computeStart := time.Now()
-	for _, bi := range r.rp.Boxes {
-		r.accs[bi].Fill(0)
-	}
 	ierr := r.hook(super, "substep")
-	if ierr == nil && len(interiors) > 0 {
+	if ierr == nil {
 		r.execPieces(interiors)
 	}
 	interiorDur := time.Since(computeStart)
@@ -198,38 +220,37 @@ func (r *runner) superstep(ctx context.Context, super, k int) error {
 
 	t0 := time.Now()
 	r.execPieces(shells)
-	for _, bi := range r.rp.Boxes {
-		b := r.plan.Layout.Boxes[bi]
-		reg := r.region(b, 0, k)
-		r.fabs[bi].Plus(r.accs[bi], reg, -r.cfg.Dt)
-		r.stats.RecomputedCells += int64(reg.NumPts() - b.NumPts())
-	}
+	r.countRecomputed()
 	r.stats.ComputeSec += interiorDur.Seconds() + time.Since(t0).Seconds()
 
 	// Remaining sub-steps run on halo data alone, each on a region one
 	// stencil radius smaller — the recomputation that deep halos trade
-	// for messages.
+	// for messages. Each box is one piece: zero, sweep and update back
+	// to back.
 	for j := 1; j < k; j++ {
 		if err := r.hook(super, "substep"); err != nil {
 			return err
 		}
 		t0 := time.Now()
-		var pieces []pieceRef
-		for _, bi := range r.rp.Boxes {
-			reg := r.region(r.plan.Layout.Boxes[bi], j, k)
-			r.accs[bi].Fill(0)
-			pieces = append(pieces, pieceRef{bi, reg})
+		pieces := make([]pieceRef, len(r.rp.Boxes))
+		for pos, bi := range r.rp.Boxes {
+			r.regs[pos] = r.region(r.plan.Layout.Boxes[bi], j, k)
+			r.left[pos].Store(1)
+			pieces[pos] = pieceRef{pos, r.regs[pos]}
 		}
 		r.execPieces(pieces)
-		for _, bi := range r.rp.Boxes {
-			b := r.plan.Layout.Boxes[bi]
-			reg := r.region(b, j, k)
-			r.fabs[bi].Plus(r.accs[bi], reg, -r.cfg.Dt)
-			r.stats.RecomputedCells += int64(reg.NumPts() - b.NumPts())
-		}
+		r.countRecomputed()
 		r.stats.ComputeSec += time.Since(t0).Seconds()
 	}
 	return nil
+}
+
+// countRecomputed adds the cells the current sub-step updated beyond
+// the valid boxes.
+func (r *runner) countRecomputed() {
+	for pos, bi := range r.rp.Boxes {
+		r.stats.RecomputedCells += int64(r.regs[pos].NumPts() - r.plan.Layout.Boxes[bi].NumPts())
+	}
 }
 
 // interiorOf returns the part of region reg of valid box b that can be
@@ -252,50 +273,56 @@ func interiorOf(b, reg box.Box, remote FaceSet) box.Box {
 	return in
 }
 
-// pieceRef names one compute region of one owned box.
+// pieceRef names one compute region of one owned box, by the box's
+// position in the rank's box list.
 type pieceRef struct {
-	boxIdx int
+	pos    int
 	region box.Box
 }
 
-// execPieces runs the configured variant over the pieces. Pieces of the
-// same box share its accumulator on disjoint regions, so P>=Box
-// families may execute them concurrently; every registered schedule is
-// bitwise partition-invariant (the conformance sweep's differential
-// property), so the split does not change a single output bit.
+// execPieces runs the configured variant over the pieces, each sweeping
+// into its box's accumulator, zeroed over the piece first. Pieces of the
+// same box share the accumulator on disjoint regions, so P>=Box families may
+// execute them concurrently; every registered schedule is bitwise
+// partition-invariant (the conformance sweep's differential property),
+// so the split does not change a single output bit.
 func (r *runner) execPieces(pieces []pieceRef) {
 	if len(pieces) == 0 {
 		return
 	}
-	states := make([]variants.State, 0, len(pieces))
+	r.states = r.states[:0]
 	for _, pc := range pieces {
-		if pc.region.IsEmpty() {
-			continue
-		}
-		states = append(states, variants.State{
-			Valid: pc.region,
-			Phi0:  r.fabs[pc.boxIdx],
-			Phi1:  r.accs[pc.boxIdx],
-		})
+		bi := r.rp.Boxes[pc.pos]
+		r.states = append(r.states, variants.State{Valid: pc.region, Phi0: r.fabs[bi], Phi1: r.accs[bi]})
 	}
-	if len(states) == 0 {
-		return
+	r.pieces = pieces
+	variants.ExecLevelThen(r.cfg.Variant, r.states, r.cfg.Threads, r.doneFn)
+}
+
+// pieceDone is the epilogue of piece i, whose divergence is in div: the
+// box's last piece to finish applies the box's Euler update, S +=
+// (-dt)·D, over the region its sub-step computed, while D is still
+// warm. div is the box's accumulator, which then holds all of D.
+func (r *runner) pieceDone(i int, div *fab.FAB) {
+	pos := r.pieces[i].pos
+	if r.left[pos].Add(-1) == 0 {
+		bi := r.rp.Boxes[pos]
+		kernel.Axpy(r.regs[pos], div, kernel.Term{Dst: r.fabs[bi], X: r.fabs[bi], A: -r.cfg.Dt})
 	}
-	variants.ExecLevel(r.cfg.Variant, states, r.cfg.Threads)
 }
 
 // shellPieces decomposes outer minus inner into up to six disjoint
 // slabs (z-low, z-high, then y-low/y-high, then x-low/x-high), the
 // boundary-shell work list computed after the exchange lands.
-func shellPieces(outer, inner box.Box, boxIdx int) []pieceRef {
+func shellPieces(outer, inner box.Box, pos int) []pieceRef {
 	inner = inner.Intersect(outer)
 	if inner.IsEmpty() {
-		return []pieceRef{{boxIdx, outer}}
+		return []pieceRef{{pos, outer}}
 	}
 	var out []pieceRef
 	add := func(b box.Box) {
 		if !b.IsEmpty() {
-			out = append(out, pieceRef{boxIdx, b})
+			out = append(out, pieceRef{pos, b})
 		}
 	}
 	rest := outer

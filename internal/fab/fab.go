@@ -170,7 +170,9 @@ func (f *FAB) CopyFrom(src *FAB, r box.Box) {
 // components starting at dstComp of f. For each destination point p in
 // r ∩ f.Box(), the value is read from src at p + shift. It is the motion
 // primitive behind the ghost-cell exchange: a periodic wrap is a shifted
-// copy.
+// copy. The two row offsets are computed once and stepped by the
+// strides; rows of up to four values (a ghost exchange's x faces, edges
+// and corners) are copied inline rather than through copy().
 func (f *FAB) CopyFromShifted(src *FAB, r box.Box, shift ivect.IntVect, srcComp, dstComp, n int) {
 	if srcComp < 0 || srcComp+n > src.ncomp || dstComp < 0 || dstComp+n > f.ncomp || n < 0 {
 		panic(fmt.Sprintf("fab: copy comps [%d,%d)->[%d,%d) out of range (%d, %d comps)",
@@ -180,13 +182,19 @@ func (f *FAB) CopyFromShifted(src *FAB, r box.Box, shift ivect.IntVect, srcComp,
 	if r.IsEmpty() {
 		return
 	}
-	nx := r.Hi[0] - r.Lo[0] + 1
+	nx, ny, nz := r.Hi[0]-r.Lo[0]+1, r.Hi[1]-r.Lo[1]+1, r.Hi[2]-r.Lo[2]+1
+	d0, s0 := f.offset(r.Lo, dstComp), src.offset(r.Lo.Add(shift), srcComp)
 	for c := 0; c < n; c++ {
-		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
-			for y := r.Lo[1]; y <= r.Hi[1]; y++ {
-				dst := f.offset(ivect.New(r.Lo[0], y, z), dstComp+c)
-				so := src.offset(ivect.New(r.Lo[0], y, z).Add(shift), srcComp+c)
-				copy(f.data[dst:dst+nx], src.data[so:so+nx])
+		for z := 0; z < nz; z++ {
+			d, s := d0+c*f.sc+z*f.sz, s0+c*src.sc+z*src.sz
+			for y := 0; y < ny; y, d, s = y+1, d+f.sy, s+src.sy {
+				if nx <= 4 {
+					for x := 0; x < nx; x++ {
+						f.data[d+x] = src.data[s+x]
+					}
+					continue
+				}
+				copy(f.data[d:d+nx], src.data[s:s+nx])
 			}
 		}
 	}
@@ -213,6 +221,27 @@ func (f *FAB) Plus(src *FAB, r box.Box, s float64) {
 					dst[x] += s * sr[x]
 				}
 				d, o = d+f.sy, o+src.sy
+			}
+		}
+	}
+}
+
+// Zero sets every component to zero on r ∩ f.Box().
+func (f *FAB) Zero(r box.Box) {
+	r = r.Intersect(f.bx)
+	if r == f.bx {
+		clear(f.data)
+		return
+	}
+	if r.IsEmpty() {
+		return
+	}
+	nx := r.Hi[0] - r.Lo[0] + 1
+	for c := 0; c < f.ncomp; c++ {
+		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
+			for y := r.Lo[1]; y <= r.Hi[1]; y++ {
+				o := f.offset(ivect.New(r.Lo[0], y, z), c)
+				clear(f.data[o : o+nx])
 			}
 		}
 	}

@@ -242,15 +242,20 @@ func SmoothAt(period int, p ivect.IntVect, c int) float64 {
 }
 
 // SmoothFunc returns SmoothAt for one period as a fill function, with
-// the sine and cosine of k*(i+0.5) tabulated for i in [0, period): the
-// same values bit for bit, without the math calls per value. Component
-// 3, whose sine takes a sum of two coordinates, and coordinates outside
-// [0, period) still call math.
+// the sine and cosine of k*(i+0.5) tabulated for i in [0, period), and
+// component 3's sine of k*x+k*z for every in-period (x, z) pair: the
+// same expressions, so the same values bit for bit, without the math
+// calls per value. Coordinates outside [0, period) still call math.
 func SmoothFunc(period int) func(p ivect.IntVect, c int) float64 {
 	k := 2 * math.Pi / float64(period)
 	sin, cos := make([]float64, period), make([]float64, period)
 	for i := range sin {
 		sin[i], cos[i] = math.Sin(k*(float64(i)+0.5)), math.Cos(k*(float64(i)+0.5))
+	}
+	sinXZ := make([]float64, period*period)
+	for i := range sinXZ {
+		x, z := float64(i%period)+0.5, float64(i/period)+0.5
+		sinXZ[i] = math.Sin(k*x + k*z)
 	}
 	at := func(tab []float64, f func(float64) float64, i int) float64 {
 		if uint(i) < uint(len(tab)) {
@@ -267,6 +272,9 @@ func SmoothFunc(period int) func(p ivect.IntVect, c int) float64 {
 		case 2:
 			return 0.3 + 0.2*at(cos, math.Cos, p[2])
 		case 3:
+			if uint(p[0]) < uint(period) && uint(p[2]) < uint(period) {
+				return 0.4 + 0.2*sinXZ[p[2]*period+p[0]]
+			}
 			return SmoothAt(period, p, c)
 		default:
 			return 2.0 + 0.1*at(cos, math.Cos, p[0])*at(sin, math.Sin, p[1])*at(sin, math.Sin, p[2])
@@ -311,4 +319,59 @@ func WorkFor(valid box.Box) Work {
 	w.FlopsAccum = w.Cells * NComp * FlopsPerAccum * ivect.SpaceDim
 	w.Flops = w.FlopsEval1 + w.FlopsEval2 + w.FlopsAccum
 	return w
+}
+
+// Term is one output of Axpy: Dst = X + A*d, with d Axpy's divergence.
+type Term struct {
+	Dst, X *fab.FAB
+	A      float64
+}
+
+// Axpy writes every term, t.Dst = t.X + t.A*d, for all components on r
+// clipped to every FAB involved, with the bits of applying the terms one
+// after another over all of r. It goes over d one z-plane at a time,
+// every term's rows (axpyRows) while the plane of d is in L1: the stage
+// updates of the time integrators are made of it. t.X may be t.Dst,
+// which updates it in place.
+func Axpy(r box.Box, d *fab.FAB, terms ...Term) {
+	nc := d.NComp()
+	r = r.Intersect(d.Box())
+	for _, t := range terms {
+		if t.Dst.NComp() != nc || t.X.NComp() != nc {
+			panic(fmt.Sprintf("kernel: axpy components %d and %d, divergence %d", t.Dst.NComp(), t.X.NComp(), nc))
+		}
+		r = r.Intersect(t.Dst.Box()).Intersect(t.X.Box())
+	}
+	if r.IsEmpty() {
+		return
+	}
+	nx, ny := r.Hi[0]-r.Lo[0]+1, r.Hi[1]-r.Lo[1]+1
+	dsy, _, _ := d.Strides()
+	for c := 0; c < nc; c++ {
+		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
+			p := ivect.New(r.Lo[0], r.Lo[1], z)
+			dd := d.Data()[d.Index(p, c):]
+			for _, t := range terms {
+				sy, _, _ := t.Dst.Strides()
+				xsy, _, _ := t.X.Strides()
+				axpyRows(t.Dst.Data()[t.Dst.Index(p, c):], t.X.Data()[t.X.Index(p, c):], dd, nx, ny, sy, xsy, dsy, t.A)
+			}
+		}
+	}
+}
+
+// axpyRows is rows rows of a stage update: dst[i] = x[i] + a*d[i] for
+// the n cells of each row, with the rows of dst, x and d starting sdst,
+// sx and sd values apart. It works in place (dst may be x, with the
+// same stride). Each row is resliced to one length first, so the cell
+// loop runs without bounds checks; with them an RK4 step of a level in
+// 16^3 boxes took over 10 % longer.
+func axpyRows(dst, x, d []float64, n, rows, sdst, sx, sd int, a float64) {
+	for r := 0; r < rows; r++ {
+		dr := dst[r*sdst:][:n]
+		xr, dd := x[r*sx:][:len(dr)], d[r*sd:][:len(dr)]
+		for i := range dr {
+			dr[i] = xr[i] + a*dd[i]
+		}
+	}
 }

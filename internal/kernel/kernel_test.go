@@ -232,18 +232,31 @@ func TestInitSmoothBounded(t *testing.T) {
 // TestSmoothFuncMatchesSmoothAt holds the tabulated fill function to
 // the pointwise definition bit for bit, for every component, over the
 // period cube extended by 3 cells on every side (ghost cells and
-// periodic images take the math fallback), and InitSmooth and
-// InitSmoothFrozen, which fill through it, to their pointwise forms.
+// periodic images take the math fallback), at points a whole period or
+// more outside [0, period) on each axis in turn and on all three, and
+// InitSmooth and InitSmoothFrozen, which fill through it, to their
+// pointwise forms.
 func TestSmoothFuncMatchesSmoothAt(t *testing.T) {
-	for _, period := range []int{8, 16, 32, 48, 64} {
+	for _, period := range []int{1, 3, 8, 16, 32, 48, 64} {
 		f := SmoothFunc(period)
-		box.Cube(period).Grow(3).ForEach(func(p ivect.IntVect) {
+		check := func(p ivect.IntVect) {
 			for c := 0; c < NComp; c++ {
 				if got, want := f(p, c), SmoothAt(period, p, c); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("period %d at %v comp %d: SmoothFunc %v, SmoothAt %v", period, p, c, got, want)
 				}
 			}
-		})
+		}
+		box.Cube(period).Grow(3).ForEach(check)
+		for _, far := range []int{-2*period - 1, -period, period, 3*period + 2} {
+			for d := 0; d < 3; d++ {
+				for _, in := range []int{0, period / 2, period - 1} {
+					p := ivect.New(in, period-1-in, in)
+					p[d] = far
+					check(p)
+				}
+			}
+			check(ivect.New(far, far, far))
+		}
 	}
 	const period = 12
 	b := box.Cube(period).Grow(NGhost)
@@ -293,4 +306,60 @@ func TestCheckStateExported(t *testing.T) {
 	}()
 	half, _ := v.ChopDir(0, 2)
 	CheckState(phi0, fab.New(half, NComp), v)
+}
+
+// TestAxpyMatchesPerValue holds Axpy to the per-value definition of its
+// terms applied one after another, bit for bit over every FAB, with
+// in-place terms, a term reading another term's output, rows that end
+// in a partial vector, and a region clipped by the smallest FAB.
+func TestAxpyMatchesPerValue(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	valid := box.NewSized(ivect.New(-3, 2, 1), ivect.New(7, 5, 4))
+	d := fab.New(valid, 3)
+	d.Randomize(rnd, -1, 1)
+	s, tm, a := fab.New(valid.Grow(2), 3), fab.New(valid.Grow(2), 3), fab.New(valid, 3)
+	for _, f := range []*fab.FAB{s, tm, a} {
+		f.Randomize(rnd, -2, 2)
+	}
+	all := []*fab.FAB{s, tm, a}
+	cases := [][]Term{
+		{{Dst: s, X: s, A: -0.1}},
+		{{Dst: tm, X: s, A: -0.05}, {Dst: a, X: s, A: -1.0 / 60}},
+		{{Dst: tm, X: s, A: -0.05}, {Dst: a, X: a, A: -1.0 / 30}},
+		{{Dst: a, X: a, A: 0.3}, {Dst: s, X: a, A: -0.7}},
+	}
+	for k, terms := range cases {
+		got, want := make([]*fab.FAB, len(all)), make([]*fab.FAB, len(all))
+		for i, f := range all {
+			got[i], want[i] = f.Clone(), f.Clone()
+		}
+		in := func(set []*fab.FAB, f *fab.FAB) *fab.FAB {
+			for i, o := range all {
+				if o == f {
+					return set[i]
+				}
+			}
+			panic("unknown FAB")
+		}
+		gt := make([]Term, len(terms))
+		for i, tr := range terms {
+			gt[i] = Term{Dst: in(got, tr.Dst), X: in(got, tr.X), A: tr.A}
+		}
+		Axpy(valid.Grow(1), d, gt...) // clipped to valid by d and a
+		for _, tr := range terms {
+			dst, x := in(want, tr.Dst), in(want, tr.X)
+			valid.ForEach(func(p ivect.IntVect) {
+				for c := 0; c < 3; c++ {
+					dst.Set(p, c, x.Get(p, c)+tr.A*d.Get(p, c))
+				}
+			})
+		}
+		for i := range got {
+			for j, v := range got[i].Data() {
+				if w := want[i].Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("case %d FAB %d: value %d is %v, oracle %v", k, i, j, v, w)
+				}
+			}
+		}
+	}
 }

@@ -69,13 +69,24 @@ type Config struct {
 type Solver struct {
 	cfg   Config
 	state *layout.LevelData
-	// Stage scratch: divergence accumulators per box per stage, and a
-	// temporary state for multi-stage integrators.
-	stages [][]*fab.FAB // [stage][box]
-	tmp    *layout.LevelData
-	level  []variants.State // operator's per-box arguments, refilled per call
-	steps  int
-	time   float64
+	// tmp is the stage state of RK2 and RK4, acc RK4's running sum of
+	// its weighted stages over the valid boxes; nil when unused. The
+	// stage divergences themselves live only in per-worker slabs, one box
+	// at a time (variants.ExecLevelThen).
+	tmp   *layout.LevelData
+	acc   []*fab.FAB
+	level []variants.State // the sweep's per-box arguments, refilled per stage
+	terms []term           // the current stage's update
+	updFn variants.Epilogue
+	steps int
+	time  float64
+}
+
+// term is one output of a stage update: dst = x + c*D on every valid
+// cell, D the stage's divergence.
+type term struct {
+	dst, x []*fab.FAB
+	c      float64
 }
 
 // New builds a solver over the given state. The state's component count
@@ -97,20 +108,18 @@ func New(state *layout.LevelData, cfg Config) (*Solver, error) {
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
-	s := &Solver{cfg: cfg, state: state, level: make([]variants.State, state.Layout.NumBoxes())}
-	nStages := map[Integrator]int{Euler: 1, RK2: 2, RK4: 4}[cfg.Integrator]
-	if nStages == 0 {
+	if cfg.Integrator < Euler || cfg.Integrator > RK4 {
 		return nil, fmt.Errorf("solver: unknown integrator %v", cfg.Integrator)
 	}
-	for k := 0; k < nStages; k++ {
-		fs := make([]*fab.FAB, state.Layout.NumBoxes())
-		for i, b := range state.Layout.Boxes {
-			fs[i] = fab.New(b, kernel.NComp)
-		}
-		s.stages = append(s.stages, fs)
-	}
-	if nStages > 1 {
+	s := &Solver{cfg: cfg, state: state, level: make([]variants.State, state.Layout.NumBoxes())}
+	s.updFn = s.update
+	if cfg.Integrator != Euler {
 		s.tmp = layout.NewLevelData(state.Layout, kernel.NComp, state.NGhost)
+	}
+	if cfg.Integrator == RK4 {
+		for _, b := range state.Layout.Boxes {
+			s.acc = append(s.acc, fab.New(b, kernel.NComp))
+		}
 	}
 	return s, nil
 }
@@ -124,60 +133,49 @@ func (s *Solver) Time() float64 { return s.time }
 // Steps returns the number of completed steps.
 func (s *Solver) Steps() int { return s.steps }
 
-// operator computes the raw divergence k = div F(U) for every box of src
-// into dst, exchanging ghosts first. The update's minus sign rides on the
-// coefficient Step applies k with, which costs no pass over k and is
-// exact.
-func (s *Solver) operator(dst []*fab.FAB, src *layout.LevelData) {
+// stage exchanges src's ghosts and sweeps every box of it for the raw
+// divergence D = div F(src); right after a box's sweep, while D is
+// hot, the terms update that box. The update's minus sign rides on the
+// coefficients, which costs no pass over D and is exact.
+func (s *Solver) stage(src *layout.LevelData, terms ...term) {
 	src.Exchange(s.cfg.Threads)
+	s.terms = append(s.terms[:0], terms...)
 	for i, b := range src.Layout.Boxes {
-		dst[i].Fill(0)
-		s.level[i] = variants.State{Valid: b, Phi0: src.Fabs[i], Phi1: dst[i]}
+		s.level[i] = variants.State{Valid: b, Phi0: src.Fabs[i]}
 	}
-	variants.ExecLevel(s.cfg.Variant, s.level, s.cfg.Threads)
+	variants.ExecLevelThen(s.cfg.Variant, s.level, s.cfg.Threads, s.updFn)
 }
 
-// axpyState sets tmp = state + a*k on valid regions.
-func (s *Solver) axpyState(a float64, k []*fab.FAB) {
-	for i, b := range s.state.Layout.Boxes {
-		s.tmp.Fabs[i].CopyFrom(s.state.Fabs[i], b)
-		s.tmp.Fabs[i].Plus(k[i], b, a)
+// update is the stage epilogue of box i. A box's stage input is read
+// only by its own sweep, which is done, so writing it in place is safe.
+func (s *Solver) update(i int, d *fab.FAB) {
+	var buf [2]kernel.Term
+	ts := buf[:0]
+	for _, t := range s.terms {
+		ts = append(ts, kernel.Term{Dst: t.dst[i], X: t.x[i], A: t.c})
 	}
+	kernel.Axpy(s.state.Layout.Boxes[i], d, ts...)
 }
 
-// Step advances the solution by one time step.
+// Step advances the solution by one time step. Every stage update is
+// one pass, written in place. RK4 sums S + (-dt/6)k1 + (-dt/3)k2 +
+// (-dt/3)k3 + (-dt/6)k4 left to right in acc as the stages go.
 func (s *Solver) Step() {
 	dt := s.cfg.Dt
+	S, A := s.state.Fabs, s.acc
 	switch s.cfg.Integrator {
 	case Euler:
-		s.operator(s.stages[0], s.state)
-		for i, b := range s.state.Layout.Boxes {
-			s.state.Fabs[i].Plus(s.stages[0][i], b, -dt)
-		}
+		s.stage(s.state, term{S, S, -dt})
 	case RK2:
-		k1, k2 := s.stages[0], s.stages[1]
-		s.operator(k1, s.state)
-		s.axpyState(-dt/2, k1)
-		s.operator(k2, s.tmp)
-		for i, b := range s.state.Layout.Boxes {
-			s.state.Fabs[i].Plus(k2[i], b, -dt)
-		}
+		T := s.tmp.Fabs
+		s.stage(s.state, term{T, S, -dt / 2})
+		s.stage(s.tmp, term{S, S, -dt})
 	case RK4:
-		k1, k2, k3, k4 := s.stages[0], s.stages[1], s.stages[2], s.stages[3]
-		s.operator(k1, s.state)
-		s.axpyState(-dt/2, k1)
-		s.operator(k2, s.tmp)
-		s.axpyState(-dt/2, k2)
-		s.operator(k3, s.tmp)
-		s.axpyState(-dt, k3)
-		s.operator(k4, s.tmp)
-		for i, b := range s.state.Layout.Boxes {
-			f := s.state.Fabs[i]
-			f.Plus(k1[i], b, -dt/6)
-			f.Plus(k2[i], b, -dt/3)
-			f.Plus(k3[i], b, -dt/3)
-			f.Plus(k4[i], b, -dt/6)
-		}
+		T := s.tmp.Fabs
+		s.stage(s.state, term{T, S, -dt / 2}, term{A, S, -dt / 6})
+		s.stage(s.tmp, term{T, S, -dt / 2}, term{A, A, -dt / 3})
+		s.stage(s.tmp, term{T, S, -dt}, term{A, A, -dt / 3})
+		s.stage(s.tmp, term{S, A, -dt / 6})
 	}
 	s.steps++
 	s.time += dt

@@ -129,46 +129,100 @@ func NewLevelState(boxes []box.Box) []State {
 // It returns the Stats of the last box executed (all boxes are identically
 // shaped in the study).
 func ExecLevel(v sched.Variant, states []State, threads int) Stats {
-	var last Stats
+	return ExecLevelThen(v, states, threads, nil)
+}
+
+// Epilogue consumes the divergence of states[i] right after its sweep,
+// on the goroutine that swept it, while the box is still in cache. div
+// is defined over states[i].Valid.
+type Epilogue func(i int, div *fab.FAB)
+
+// ExecLevelThen is ExecLevel with a per-box epilogue: with a non-nil
+// then, each sweep computes a fresh divergence, zeroing its output over
+// Valid first, and hands it to then(i, div) as soon as it is done. A
+// state with a nil Phi1 sweeps into a box-sized slab of a per-worker
+// scratch arena, reused box after box, so a level needs no divergence
+// arrays of its own; the slab is only valid inside then. Epilogues of
+// P>=Box sweeps run concurrently, one per worker.
+func ExecLevelThen(v sched.Variant, states []State, threads int, then Epilogue) Stats {
+	lr := levelPool.Get().(*levelRun)
+	lr.v, lr.states, lr.then = v, states, then
 	if v.Par == sched.OverBoxes {
 		// Only the last box's Stats are reported (identically shaped
 		// boxes); exactly one worker executes that index, and Dynamic's
 		// join orders its write before the read here. The per-call
 		// parameters live in a pooled carrier with a pre-bound body so the
 		// measured hot path does not allocate a closure per level sweep.
-		lr := levelPool.Get().(*levelRun)
-		lr.v, lr.states = v, states
 		if lr.bodyFn == nil {
 			lr.bodyFn = lr.body
 		}
+		lr.workers(parallel.Threads(threads))
 		parallel.Dynamic(threads, len(states), 1, lr.bodyFn)
-		last = lr.last
-		lr.states = nil
-		levelPool.Put(lr)
-		return last
+	} else {
+		lr.workers(1)
+		for i := range states {
+			lr.last = lr.exec(0, i, threads)
+		}
 	}
-	for _, s := range states {
-		last = Exec(v, s.Phi0, s.Phi1, s.Valid, threads)
+	last := lr.last
+	for i, ar := range lr.slabs {
+		if ar != nil {
+			scratch.Default.Checkin(ar)
+			lr.slabs[i] = nil
+		}
 	}
+	lr.states, lr.then, lr.last = nil, nil, Stats{}
+	levelPool.Put(lr)
 	return last
 }
 
-// levelRun carries one ExecLevel P>=Box sweep's parameters and result.
+// levelRun carries one ExecLevelThen sweep's parameters and result.
 type levelRun struct {
 	v      sched.Variant
 	states []State
+	then   Epilogue
+	slabs  []*scratch.Arena // by worker, checked out on first use
 	last   Stats
 	bodyFn func(tid, i int)
 }
 
 var levelPool = sync.Pool{New: func() any { return new(levelRun) }}
 
-func (lr *levelRun) body(_, i int) {
-	s := lr.states[i]
-	st := Exec(lr.v, s.Phi0, s.Phi1, s.Valid, 1)
+// workers sizes the slab table for n workers; every entry is nil.
+func (lr *levelRun) workers(n int) {
+	if cap(lr.slabs) < n {
+		lr.slabs = make([]*scratch.Arena, n)
+	}
+	lr.slabs = lr.slabs[:n]
+}
+
+func (lr *levelRun) body(tid, i int) {
+	st := lr.exec(tid, i, 1)
 	if i == len(lr.states)-1 {
 		lr.last = st
 	}
+}
+
+// exec sweeps states[i] on worker tid and runs the epilogue.
+func (lr *levelRun) exec(tid, i, threads int) Stats {
+	s := lr.states[i]
+	if lr.then == nil {
+		return Exec(lr.v, s.Phi0, s.Phi1, s.Valid, threads)
+	}
+	div := s.Phi1
+	if div == nil {
+		ar := lr.slabs[tid]
+		if ar == nil {
+			ar = scratch.Default.Checkout()
+			lr.slabs[tid] = ar
+		}
+		ar.Reset()
+		div = ar.FAB(s.Valid, kernel.NComp)
+	}
+	div.Zero(s.Valid)
+	st := Exec(lr.v, s.Phi0, div, s.Valid, threads)
+	lr.then(i, div)
+	return st
 }
 
 // state caches the raw-slice view of the exemplar data that the executors'
