@@ -514,11 +514,11 @@ func (p DistProblem) distConfig(v Variant) (dist.Config, error) {
 	if err != nil {
 		return dist.Config{}, err
 	}
-	init := kernel.SmoothFunc(p.DomainN)
+	init := kernel.SmoothRowFunc(p.DomainN)
 	if user := p.Init; user != nil {
-		init = func(pt ivect.IntVect, c int) float64 {
+		init = fab.PointRows(func(pt ivect.IntVect, c int) float64 {
 			return user(float64(pt[0])+0.5, float64(pt[1])+0.5, float64(pt[2])+0.5, c)
-		}
+		})
 	}
 	return dist.Config{
 		Layout:  l,
@@ -591,6 +591,7 @@ func SolveDistributedContext(ctx context.Context, v Variant, p DistProblem) (Dis
 	if err != nil {
 		return DistResult{}, err
 	}
+	res.Release()
 	out := DistResult{
 		Problem:         p,
 		Variant:         v,
@@ -650,6 +651,7 @@ func SolveDistributedRankTCP(ctx context.Context, v Variant, p DistProblem, rank
 	if err != nil {
 		return DistRankResult{}, err
 	}
+	rr.Release()
 	return DistRankResult{
 		Rank:            rr.Rank,
 		Boxes:           len(rr.Boxes),

@@ -12,6 +12,7 @@ import (
 
 	"stencilsched"
 	"stencilsched/internal/conform"
+	"stencilsched/internal/dist"
 	"stencilsched/internal/fleet"
 	"stencilsched/internal/jobs"
 	"stencilsched/internal/metrics"
@@ -671,5 +672,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("stencilserved_scratch_checkout_hits", "arena checkouts served from the free list").Set(float64(sc.Hits))
 	s.reg.Gauge("stencilserved_scratch_checkout_misses", "arena checkouts that created a new arena").Set(float64(sc.Misses))
 	s.reg.Gauge("stencilserved_scratch_grows", "arena backing-store growths").Set(float64(sc.Grows))
+	ds := dist.StatePoolStats()
+	s.reg.Gauge("stencilserved_scratch_dist_arenas_in_use", "rank-state arenas held by running distributed solves").Set(float64(ds.InUse))
+	s.reg.Gauge("stencilserved_scratch_dist_bytes_retained", "bytes of rank state retained for the next distributed solve").Set(float64(ds.BytesRetained))
 	s.writeMetrics(w)
 }

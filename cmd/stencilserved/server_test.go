@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"stencilsched"
+	"stencilsched/internal/dist"
 	"stencilsched/internal/jobs"
 	"stencilsched/internal/scratch"
 )
@@ -662,15 +663,20 @@ func TestAutotuneMixedCompiledCandidates(t *testing.T) {
 
 func TestMetricsExposeScratchPool(t *testing.T) {
 	_, ts := newTestServer(t, config{})
-	// Run one solve so the scratch pool has seen traffic.
-	var snap jobs.Snapshot
-	code := doJSON(t, http.MethodPost, ts.URL+"/v1/solve", map[string]any{
-		"domain_n": 8, "variant": "Shift-Fuse: P>=Box", "steps": 1, "threads": 1,
-	}, &snap)
-	if code != http.StatusAccepted {
-		t.Fatalf("solve submit: code %d", code)
+	// Run one solve and one distributed solve so the scratch pool and
+	// the rank-state pool have seen traffic.
+	for _, body := range []map[string]any{
+		{"domain_n": 8, "variant": "Shift-Fuse: P>=Box", "steps": 1, "threads": 1},
+		{"domain_n": 16, "box_n": 8, "ranks": 2, "integrator": "euler", "halo_k": 2, "steps": 2, "threads": 1},
+	} {
+		var snap jobs.Snapshot
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/solve", body, &snap); code != http.StatusAccepted {
+			t.Fatalf("solve submit %v: code %d", body, code)
+		}
+		if done := awaitJob(t, ts.URL, snap.ID); done.Status != jobs.StatusDone {
+			t.Fatalf("job %s ended %s: %s", done.ID, done.Status, done.Error)
+		}
 	}
-	awaitJob(t, ts.URL, snap.ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -685,6 +691,8 @@ func TestMetricsExposeScratchPool(t *testing.T) {
 		"stencilserved_scratch_checkout_hits",
 		"stencilserved_scratch_checkout_misses",
 		"stencilserved_scratch_grows",
+		"stencilserved_scratch_dist_arenas_in_use",
+		"stencilserved_scratch_dist_bytes_retained",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -698,5 +706,13 @@ func TestMetricsExposeScratchPool(t *testing.T) {
 	}
 	if st.InUse != 0 {
 		t.Errorf("%d arenas still checked out after the job finished", st.InUse)
+	}
+	// The distributed solve released its ranks' state for reuse.
+	ds := dist.StatePoolStats()
+	if ds.InUse != 0 {
+		t.Errorf("%d rank-state arenas still held after the distributed job finished", ds.InUse)
+	}
+	if ds.BytesRetained == 0 {
+		t.Error("rank-state pool retains nothing after a distributed solve")
 	}
 }

@@ -123,3 +123,24 @@ func TestPredictDistributedStep(t *testing.T) {
 		t.Fatalf("deep exchange volume %v not above base %v", deep.RemoteBytes, base.RemoteBytes)
 	}
 }
+
+// BenchmarkDistMix runs the distributed solves of one small-box block
+// per iteration: halos 1, 1, 2, 2, 2 and 4, each four Euler steps of
+// 32^3 in 16^3 boxes on two loopback ranks at one thread. Run with
+// -cpu 1 -benchmem for the rank runtime's time and allocation per mix.
+func BenchmarkDistMix(b *testing.B) {
+	v, err := ParseVariant("Baseline: P>=Box")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DistProblem{DomainN: 32, BoxN: 16, Periodic: [3]bool{true, true, true}, Ranks: 2, Steps: 4, Threads: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, k := range []int{1, 1, 2, 2, 2, 4} {
+			p.HaloK = k
+			if _, err := SolveDistributed(v, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

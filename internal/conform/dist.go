@@ -210,12 +210,13 @@ func CheckDist(dc DistCase, maxULP uint64) (dv *Divergence) {
 		Steps:   dc.Steps,
 		Dt:      distDt,
 		Threads: dc.Threads,
-		Init:    field,
+		Init:    fab.PointRows(field),
 	}
 	multi, err := dist.RunLoopback(context.Background(), cfg)
 	if err != nil {
 		return &Divergence{Runner: v.Name(), Check: "execution (multi-rank)", Dist: &dc, Detail: err.Error()}
 	}
+	defer multi.Release()
 
 	// Differential vs the reference oracle, through the sentinel gather.
 	oracle := referenceAdvance(l, field, dc.Steps, dc.Threads)
@@ -234,6 +235,7 @@ func CheckDist(dc DistCase, maxULP uint64) (dv *Divergence) {
 		if err != nil {
 			return &Divergence{Runner: v.Name(), Check: "execution (single-rank)", Dist: &dc, Detail: err.Error()}
 		}
+		defer sres.Release()
 		sgot := gatherSentinel(l, sres.Fabs)
 		if w := compareFABs(got, sgot, l.Domain.Grow(1), 0); w.found {
 			return &Divergence{Runner: v.Name(), Check: "determinism (ranks)", Dist: &dc, Detail: w.detail()}

@@ -290,7 +290,7 @@ func TestDistMatrix(t *testing.T) {
 				label := fmt.Sprintf("%s ranks=%d K=%d", name, ranks, haloK)
 				res, err := RunLoopback(context.Background(), Config{
 					Layout: l, Ranks: ranks, Variant: v, HaloK: haloK,
-					Steps: steps, Dt: testDt, Threads: 2, Init: field,
+					Steps: steps, Dt: testDt, Threads: 2, Init: fab.PointRows(field),
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -325,7 +325,7 @@ func TestDistNonPeriodic(t *testing.T) {
 		for _, haloK := range []int{1, 2} {
 			res, err := RunLoopback(context.Background(), Config{
 				Layout: l, Ranks: 2, Variant: mustVariant(t, "Shift-Fuse-CLO: P>=Box"),
-				HaloK: haloK, Steps: steps, Dt: testDt, Threads: 1, Init: field,
+				HaloK: haloK, Steps: steps, Dt: testDt, Threads: 1, Init: fab.PointRows(field),
 			})
 			if err != nil {
 				t.Fatalf("periodic=%v K=%d: %v", periodic, haloK, err)
@@ -347,7 +347,7 @@ func TestDistInteriorOverlap(t *testing.T) {
 	ld := oracleAdvance(l, field, steps)
 	base := Config{
 		Layout: l, Ranks: 4, Variant: mustVariant(t, "Basic-Sched OT-4: P<Box"),
-		HaloK: 2, Steps: steps, Dt: testDt, Threads: 2, Init: field,
+		HaloK: 2, Steps: steps, Dt: testDt, Threads: 2, Init: fab.PointRows(field),
 	}
 	res, err := RunLoopback(context.Background(), base)
 	if err != nil {
@@ -394,7 +394,7 @@ func TestDistFullyLocalBoxes(t *testing.T) {
 		for _, haloK := range []int{1, 2, 4} {
 			cfg := Config{
 				Layout: l, Ranks: 2, Variant: mustVariant(t, name), HaloK: haloK,
-				Steps: steps, Dt: testDt, Threads: 2, Init: field,
+				Steps: steps, Dt: testDt, Threads: 2, Init: fab.PointRows(field),
 			}
 			label := fmt.Sprintf("%s K=%d", name, haloK)
 			plan, err := cfg.Plan()
@@ -437,7 +437,7 @@ func TestRunTCP(t *testing.T) {
 	field := testField(5)
 	cfg := Config{
 		Layout: l, Ranks: 3, Variant: mustVariant(t, "Shift-Fuse OT-4: P>=Box"),
-		HaloK: 2, Steps: 4, Dt: testDt, Threads: 1, Init: field,
+		HaloK: 2, Steps: 4, Dt: testDt, Threads: 1, Init: fab.PointRows(field),
 	}
 	want, err := RunLoopback(context.Background(), cfg)
 	if err != nil {

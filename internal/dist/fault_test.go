@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stencilsched/internal/fab"
 )
 
 func faultConfig(t *testing.T, ranks int) Config {
@@ -19,7 +21,7 @@ func faultConfig(t *testing.T, ranks int) Config {
 		Steps:           6,
 		Dt:              testDt,
 		Threads:         1,
-		Init:            testField(11),
+		Init:            fab.PointRows(testField(11)),
 		ExchangeTimeout: 500 * time.Millisecond,
 	}
 }
@@ -194,7 +196,7 @@ func TestDistStressRace(t *testing.T) {
 			defer wg.Done()
 			cfg := faultConfig(t, 4)
 			cfg.Steps = 8
-			cfg.Init = testField(int64(100 + i))
+			cfg.Init = fab.PointRows(testField(int64(100 + i)))
 			plan, err := cfg.Plan()
 			if err != nil {
 				t.Error(err)

@@ -15,7 +15,9 @@ type FaultHook func(from, to int, f *Frame) error
 // Hub is the in-process loopback fabric: one bounded inbox of encoded
 // frames per rank. Every frame still round-trips through the wire
 // encoder/decoder, so loopback runs (and therefore the conformance
-// sweep) exercise the same serialization path TCP uses.
+// sweep) exercise the same serialization path TCP uses. Each endpoint
+// decodes into one buffer it reuses, so a frame's Data is valid only
+// until the endpoint's next Recv.
 //
 // Killing a rank closes its transport from the inside (its own Send and
 // Recv start failing) and marks it dead to peers — frames routed to it
@@ -97,6 +99,9 @@ func (h *Hub) Transport(rank int) Transport {
 type loopTransport struct {
 	h    *Hub
 	rank int
+	// buf is the receiver's decode buffer, reused by every Recv: a
+	// returned frame's Data is valid until the next Recv.
+	buf []float64
 }
 
 func (t *loopTransport) Rank() int  { return t.rank }
@@ -142,7 +147,9 @@ func (t *loopTransport) Recv(ctx context.Context) (Frame, error) {
 	h := t.h
 	select {
 	case enc := <-h.inboxes[t.rank]:
-		return DecodeFrame(enc[4:], h.maxValues)
+		f, buf, err := DecodeFrameInto(enc[4:], h.maxValues, t.buf)
+		t.buf = buf
+		return f, err
 	case <-h.closed:
 		return Frame{}, ErrClosed
 	case <-h.dead[t.rank]:

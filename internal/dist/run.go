@@ -66,7 +66,9 @@ func RunLoopback(ctx context.Context, cfg Config) (*Result, error) {
 // failure-injection tests use (install a FaultHook, or Kill a rank
 // mid-run). The first rank failure cancels the remaining ranks; the
 // returned error is the root-cause *RankError, not a secondary
-// cancellation. All rank goroutines have exited by return.
+// cancellation. All rank goroutines have exited by return, and on
+// failure every rank's state is back in the pool. A successful result
+// holds the ranks' state until its Release.
 func RunLoopbackHub(ctx context.Context, cfg Config, plan *Plan, hub *Hub) (*Result, error) {
 	ranks := len(plan.Ranks)
 	start := time.Now()
@@ -91,6 +93,11 @@ func RunLoopbackHub(ctx context.Context, cfg Config, plan *Plan, hub *Hub) (*Res
 	}
 
 	if err := firstError(errs); err != nil {
+		for _, rr := range results {
+			if rr != nil {
+				rr.Release()
+			}
+		}
 		return nil, err
 	}
 	res := &Result{Plan: plan, PerRank: make([]RankResult, ranks), WallSec: time.Since(start).Seconds()}

@@ -4,14 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"stencilsched/internal/box"
 	"stencilsched/internal/fab"
 	"stencilsched/internal/kernel"
+	"stencilsched/internal/scratch"
 	"stencilsched/internal/variants"
 )
+
+// maxRetainedStateBytes is the largest rank arena statePool keeps for
+// the next solve. A rank of the paper's small-box regime (four 16^3
+// boxes at halo 4) reserves about 9 MiB, so the cap leaves room for
+// ranks several times that size while a process that once ran a huge
+// solve does not pin that solve's state until it exits.
+const maxRetainedStateBytes = 64 << 20
+
+// statePool lends every running rank one arena for its deep-halo FABs,
+// accumulators and pack buffer. It is kept apart from scratch.Default,
+// whose arenas hold a worker's temporaries of one box: a rank's
+// reservation is one to two orders larger, and sharing the free list
+// would inflate every executor arena it was handed to.
+var statePool = scratch.NewCappedPool(maxRetainedStateBytes)
+
+// StatePoolStats reports the rank runtime's state pool, for metrics.
+func StatePoolStats() scratch.PoolStats { return statePool.Stats() }
 
 // runner executes one rank's share of the level.
 type runner struct {
@@ -21,8 +40,11 @@ type runner struct {
 	rp   *RankPlan
 	tr   Transport
 
-	fabs map[int]*fab.FAB // box index -> deep-ghosted solution FAB
-	accs map[int]*fab.FAB // box index -> divergence accumulator, sized for sub-step 0
+	// By box index, nil for boxes of other ranks: the deep-ghosted
+	// solution FABs, and the divergence accumulators, sized for
+	// sub-step 0. Both live in the rank's arena.
+	fabs []*fab.FAB
+	accs []*fab.FAB
 
 	// The fused update of the current sub-step, by position in
 	// rp.Boxes: the region each box updates and how many of its pieces
@@ -50,9 +72,10 @@ type pendKey struct {
 // already-built plan. It performs one deep ghost exchange per superstep
 // (send, local copies, receive — with the receive overlapped against
 // interior compute), then HaloK explicit update sub-steps over shrinking
-// regions. Any failure is returned as a
-// *RankError; by the time RunRank returns, no goroutine it started is
-// left running.
+// regions. The rank's state comes from a pooled arena that the result
+// holds until its Release. Any failure is returned as a *RankError; by
+// the time RunRank returns, no goroutine it started is left running and
+// a failed rank's arena is back in the pool.
 func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankResult, error) {
 	rank := tr.Rank()
 	if rank < 0 || rank >= len(plan.Ranks) {
@@ -64,27 +87,13 @@ func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankRe
 		rank: rank,
 		rp:   &plan.Ranks[rank],
 		tr:   tr,
-		fabs: map[int]*fab.FAB{},
-		accs: map[int]*fab.FAB{},
 	}
 	r.pending = map[pendKey]Frame{}
 	r.pendingCap = 2*len(r.rp.Recvs) + 16
 	r.regs = make([]box.Box, len(r.rp.Boxes))
 	r.left = make([]atomic.Int32, len(r.rp.Boxes))
 	r.doneFn = r.pieceDone
-
-	for _, bi := range r.rp.Boxes {
-		b := plan.Layout.Boxes[bi]
-		f := fab.New(b.Grow(plan.Depth), kernel.NComp)
-		if cfg.Init != nil {
-			// Valid cells only — ghost cells start zero, exactly like
-			// layout.LevelData, so physical-boundary ghosts match the
-			// reference oracle bit for bit.
-			f.FillFunc(b, cfg.Init)
-		}
-		r.fabs[bi] = f
-		r.accs[bi] = fab.New(r.clipNonPeriodic(b.Grow((plan.HaloK-1)*kernel.NGhost)), kernel.NComp)
-	}
+	ar := r.reserve()
 
 	super := 0
 	for step0 := 0; step0 < cfg.Steps; step0 += plan.HaloK {
@@ -92,21 +101,96 @@ func RunRank(ctx context.Context, cfg Config, plan *Plan, tr Transport) (*RankRe
 		if rem := cfg.Steps - step0; rem < k {
 			k = rem
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, &RankError{Rank: rank, Peer: -1, Step: super, Op: "step", Err: err}
+		err := ctx.Err()
+		if err != nil {
+			err = &RankError{Rank: rank, Peer: -1, Step: super, Op: "step", Err: err}
+		} else {
+			err = r.superstep(ctx, super, k)
 		}
-		if err := r.superstep(ctx, super, k); err != nil {
+		if err != nil {
+			// superstep joined its receiver: nothing writes to the
+			// arena any more.
+			statePool.Checkin(ar)
 			return nil, err
 		}
 		r.stats.Supersteps++
 		super++
 	}
 
-	res := &RankResult{Rank: rank, Boxes: r.rp.Boxes, Stats: r.stats}
+	res := &RankResult{Rank: rank, Boxes: r.rp.Boxes, Stats: r.stats, arena: ar}
 	for _, bi := range r.rp.Boxes {
 		res.Fabs = append(res.Fabs, r.fabs[bi])
 	}
 	return res, nil
+}
+
+// reserve carves the rank's state out of one statePool arena, in one
+// reservation: each owned box's deep-halo FAB and accumulator, then the
+// pack buffer, sized for the largest send. Arena storage is recycled,
+// not zeroed, so it zeroes only what the run reads before writing: the
+// valid region when cfg.Init is nil, and the ghost cells beyond a
+// non-periodic boundary, which stay zero exactly as layout.LevelData
+// leaves them. Every other ghost cell lies in a motion's region, filled
+// by the exchange that opens each superstep, and every piece zeroes its
+// region of the accumulator before sweeping into it.
+func (r *runner) reserve() *scratch.Arena {
+	l := r.plan.Layout
+	r.fabs = make([]*fab.FAB, l.NumBoxes())
+	r.accs = make([]*fab.FAB, l.NumBoxes())
+	fabBox := func(bi int) box.Box { return l.Boxes[bi].Grow(r.plan.Depth) }
+	accBox := func(bi int) box.Box {
+		return r.clipNonPeriodic(l.Boxes[bi].Grow((r.plan.HaloK - 1) * kernel.NGhost))
+	}
+	total, pack := 0, 0
+	for _, bi := range r.rp.Boxes {
+		total += (fabBox(bi).NumPts() + accBox(bi).NumPts()) * kernel.NComp
+	}
+	for _, snd := range r.rp.Sends {
+		pack = max(pack, snd.Region.NumPts()*kernel.NComp)
+	}
+	ar := statePool.Checkout()
+	buf := ar.Floats(total + pack)
+	take := func(b box.Box, f *fab.FAB) {
+		n := b.NumPts() * kernel.NComp
+		f.Adopt(buf[:n:n], b, kernel.NComp)
+		buf = buf[n:]
+	}
+	hdrs := make([]fab.FAB, 2*len(r.rp.Boxes))
+	for i, bi := range r.rp.Boxes {
+		f, acc := &hdrs[2*i], &hdrs[2*i+1]
+		take(fabBox(bi), f)
+		take(accBox(bi), acc)
+		if b := l.Boxes[bi]; r.cfg.Init != nil {
+			f.FillRows(b, r.cfg.Init)
+		} else {
+			f.Zero(b)
+		}
+		r.zeroBeyondWalls(f)
+		r.fabs[bi], r.accs[bi] = f, acc
+	}
+	r.packBuf = buf[:0:pack]
+	return ar
+}
+
+// zeroBeyondWalls zeroes f's cells beyond the domain in non-periodic
+// directions: no motion reaches them.
+func (r *runner) zeroBeyondWalls(f *fab.FAB) {
+	dom, fb := r.plan.Layout.Domain, f.Box()
+	for d := 0; d < 3; d++ {
+		if r.plan.Layout.Periodic[d] {
+			continue
+		}
+		if fb.Lo[d] < dom.Lo[d] {
+			lo := fb
+			lo.Hi[d] = dom.Lo[d] - 1
+			f.Zero(lo)
+		}
+		if fb.Hi[d] > dom.Hi[d] {
+			hi := fb
+			hi.Lo[d] = dom.Hi[d] + 1
+			f.Zero(hi)
+		}
+	}
 }
 
 // clipNonPeriodic clamps r to the domain in non-periodic directions
@@ -413,12 +497,15 @@ func (r *runner) recvAll(ctx context.Context, super int) error {
 			}
 		case f.Step > uint32(super):
 			// A neighbor that already has everything it needs may run
-			// one superstep ahead and send early; park its frames.
+			// one superstep ahead and send early; park its frames. The
+			// transport reuses f.Data from the next Recv on, so the
+			// parked frame keeps a copy.
 			if len(r.pending) >= r.pendingCap {
 				return &RankError{Rank: r.rank, Peer: int(f.Rank), Step: super, Op: "recv",
 					Err: fmt.Errorf("%w: %d buffered future frames (peer %d is at superstep %d)",
 						ErrProtocol, len(r.pending), f.Rank, f.Step)}
 			}
+			f.Data = slices.Clone(f.Data)
 			r.pending[pendKey{f.Step, f.Motion}] = f
 		default:
 			return &RankError{Rank: r.rank, Peer: int(f.Rank), Step: super, Op: "recv",

@@ -46,6 +46,13 @@ func resultHash(l *layout.Layout, fabs []*fab.FAB) uint64 {
 // boundary in z. Deep halos recompute exchanged ghosts bit for bit, so
 // every halo of one geometry shares one hash.
 func TestStateHashDistributed(t *testing.T) {
+	checkStateHashes(t, nil)
+}
+
+// checkStateHashes runs TestStateHashDistributed's matrix, calling
+// before (when non-nil) ahead of every solve.
+func checkStateHashes(t *testing.T, before func()) {
+	t.Helper()
 	golden := map[string]uint64{
 		"periodic": 0x7091ec0414607c64,
 		"wall-z":   0xd229c14766b06e9f,
@@ -61,9 +68,12 @@ func TestStateHashDistributed(t *testing.T) {
 		for _, name := range []string{"Baseline-CLO: P>=Box", "Shift-Fuse OT-4: P<Box"} {
 			for _, halo := range []int{1, 2, 4} {
 				for _, threads := range []int{1, 2} {
+					if before != nil {
+						before()
+					}
 					res, err := RunLoopback(context.Background(), Config{
 						Layout: l, Ranks: 2, Variant: mustVariant(t, name), HaloK: halo,
-						Steps: 5, Dt: testDt, Threads: threads, Init: kernel.SmoothFunc(16),
+						Steps: 5, Dt: testDt, Threads: threads, Init: kernel.SmoothRowFunc(16),
 					})
 					if err != nil {
 						t.Fatalf("%s %s halo %d threads %d: %v", geom.name, name, halo, threads, err)
@@ -72,6 +82,7 @@ func TestStateHashDistributed(t *testing.T) {
 						t.Errorf("%s %s halo %d threads %d: state hash %#016x, recorded %#016x",
 							geom.name, name, halo, threads, got, golden[geom.name])
 					}
+					res.Release()
 				}
 			}
 		}

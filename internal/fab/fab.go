@@ -116,18 +116,40 @@ func (f *FAB) FillComp(c int, v float64) {
 // FillFunc sets every component c of every point p of r to fn(p, c),
 // writing x-rows straight into storage: r is checked against the box
 // once, and no value goes through Set. It panics if r is not inside
-// f.Box(). Initial conditions go through it.
+// f.Box().
 func (f *FAB) FillFunc(r box.Box, fn func(p ivect.IntVect, c int) float64) {
+	f.FillRows(r, PointRows(fn))
+}
+
+// RowFunc fills one x-row of component c: row[i] is the value at
+// lo + (i, 0, 0). The row is a slice of FAB storage.
+type RowFunc func(row []float64, lo ivect.IntVect, c int)
+
+// PointRows adapts a per-point function to a RowFunc, calling fn once
+// per value in x order.
+func PointRows(fn func(p ivect.IntVect, c int) float64) RowFunc {
+	return func(row []float64, lo ivect.IntVect, c int) {
+		for i := range row {
+			row[i] = fn(lo, c)
+			lo[0]++
+		}
+	}
+}
+
+// FillRows hands every x-row of r, component by component, to fn as a
+// slice of storage. r is checked against the box once; it panics if r
+// is not inside f.Box(). Initial conditions go through it.
+func (f *FAB) FillRows(r box.Box, fn RowFunc) {
 	if !f.bx.ContainsBox(r) {
 		panic(fmt.Sprintf("fab: fill region %v outside %v", r, f.bx))
 	}
+	nx := r.Hi[0] - r.Lo[0] + 1
 	for c := 0; c < f.ncomp; c++ {
 		for z := r.Lo[2]; z <= r.Hi[2]; z++ {
 			for y := r.Lo[1]; y <= r.Hi[1]; y++ {
 				p := ivect.New(r.Lo[0], y, z)
-				for o := f.offset(p, c); p[0] <= r.Hi[0]; p[0], o = p[0]+1, o+1 {
-					f.data[o] = fn(p, c)
-				}
+				o := f.offset(p, c)
+				fn(f.data[o:o+nx:o+nx], p, c)
 			}
 		}
 	}

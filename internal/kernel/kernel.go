@@ -174,7 +174,7 @@ func InitSmooth(phi0 *fab.FAB, period int) {
 	if period <= 0 {
 		panic(fmt.Sprintf("kernel: period %d must be positive", period))
 	}
-	phi0.FillFunc(phi0.Box(), SmoothFunc(period))
+	phi0.FillRows(phi0.Box(), SmoothRowFunc(period))
 }
 
 // InitSmoothFrozen fills phi0 like InitSmooth but with spatially
@@ -186,12 +186,16 @@ func InitSmoothFrozen(phi0 *fab.FAB, period int) {
 	if period <= 0 {
 		panic(fmt.Sprintf("kernel: period %d must be positive", period))
 	}
-	smooth := SmoothFunc(period)
-	phi0.FillFunc(phi0.Box(), func(p ivect.IntVect, c int) float64 {
-		if v, ok := frozenVelocity(c); ok {
-			return v
+	smooth := SmoothRowFunc(period)
+	phi0.FillRows(phi0.Box(), func(row []float64, lo ivect.IntVect, c int) {
+		v, ok := frozenVelocity(c)
+		if !ok {
+			smooth(row, lo, c)
+			return
 		}
-		return smooth(p, c)
+		for i := range row {
+			row[i] = v
+		}
 	})
 }
 
@@ -220,10 +224,8 @@ func frozenVelocity(c int) (float64, bool) {
 }
 
 // SmoothAt is the pointwise form of InitSmooth: the value of component c
-// at cell p of the standard smooth field with the given period. The
-// distributed runtime initializes per-rank boxes through it, so a
-// multi-rank run starts from bit-identical data without any box ever
-// being assembled in one place.
+// at cell p of the standard smooth field with the given period, the
+// definition SmoothRowFunc tabulates.
 func SmoothAt(period int, p ivect.IntVect, c int) float64 {
 	k := 2 * math.Pi / float64(period)
 	x, y, z := float64(p[0])+0.5, float64(p[1])+0.5, float64(p[2])+0.5
@@ -241,43 +243,86 @@ func SmoothAt(period int, p ivect.IntVect, c int) float64 {
 	}
 }
 
-// SmoothFunc returns SmoothAt for one period as a fill function, with
-// the sine and cosine of k*(i+0.5) tabulated for i in [0, period), and
-// component 3's sine of k*x+k*z for every in-period (x, z) pair: the
-// same expressions, so the same values bit for bit, without the math
-// calls per value. Coordinates outside [0, period) still call math.
-func SmoothFunc(period int) func(p ivect.IntVect, c int) float64 {
-	k := 2 * math.Pi / float64(period)
-	sin, cos := make([]float64, period), make([]float64, period)
-	for i := range sin {
-		sin[i], cos[i] = math.Sin(k*(float64(i)+0.5)), math.Cos(k*(float64(i)+0.5))
+// smoothTab tabulates SmoothAt for one period: the sine and cosine of
+// k*(i+0.5) for i in [0, period), and component 3's sine of k*x+k*z for
+// every in-period (x, z) pair. Its lookups evaluate the same
+// expressions, so they return the same values bit for bit; coordinates
+// outside [0, period) still call math.
+type smoothTab struct {
+	period   int
+	k        float64
+	sin, cos []float64
+	sinXZ    []float64
+}
+
+func newSmoothTab(period int) *smoothTab {
+	t := &smoothTab{period: period, k: 2 * math.Pi / float64(period)}
+	t.sin, t.cos = make([]float64, period), make([]float64, period)
+	for i := range t.sin {
+		t.sin[i], t.cos[i] = math.Sin(t.k*(float64(i)+0.5)), math.Cos(t.k*(float64(i)+0.5))
 	}
-	sinXZ := make([]float64, period*period)
-	for i := range sinXZ {
+	t.sinXZ = make([]float64, period*period)
+	for i := range t.sinXZ {
 		x, z := float64(i%period)+0.5, float64(i/period)+0.5
-		sinXZ[i] = math.Sin(k*x + k*z)
+		t.sinXZ[i] = math.Sin(t.k*x + t.k*z)
 	}
-	at := func(tab []float64, f func(float64) float64, i int) float64 {
-		if uint(i) < uint(len(tab)) {
-			return tab[i]
-		}
-		return f(k * (float64(i) + 0.5))
+	return t
+}
+
+func (t *smoothTab) sinAt(i int) float64 {
+	if uint(i) < uint(len(t.sin)) {
+		return t.sin[i]
 	}
-	return func(p ivect.IntVect, c int) float64 {
+	return math.Sin(t.k * (float64(i) + 0.5))
+}
+
+func (t *smoothTab) cosAt(i int) float64 {
+	if uint(i) < uint(len(t.cos)) {
+		return t.cos[i]
+	}
+	return math.Cos(t.k * (float64(i) + 0.5))
+}
+
+// SmoothRowFunc returns SmoothAt for one period as a row filler over
+// tabulated sines and cosines: it fills an x-row with SmoothAt's values
+// bit for bit, without the math calls per value, evaluating what is
+// constant along x once per row and the same expression, in the same
+// order, per value. The distributed runtime initializes per-rank boxes
+// through it, so a multi-rank run starts from bit-identical data
+// without any box ever being assembled in one place.
+func SmoothRowFunc(period int) fab.RowFunc {
+	t := newSmoothTab(period)
+	return func(row []float64, lo ivect.IntVect, c int) {
+		x0, y, z := lo[0], lo[1], lo[2]
 		switch c {
 		case 0:
-			return 1.0 + 0.1*at(sin, math.Sin, p[0])*at(cos, math.Cos, p[1])
-		case 1:
-			return 0.5 + 0.2*at(sin, math.Sin, p[1])
-		case 2:
-			return 0.3 + 0.2*at(cos, math.Cos, p[2])
-		case 3:
-			if uint(p[0]) < uint(period) && uint(p[2]) < uint(period) {
-				return 0.4 + 0.2*sinXZ[p[2]*period+p[0]]
+			cy := t.cosAt(y)
+			for i := range row {
+				row[i] = 1.0 + 0.1*t.sinAt(x0+i)*cy
 			}
-			return SmoothAt(period, p, c)
+		case 1:
+			v := 0.5 + 0.2*t.sinAt(y)
+			for i := range row {
+				row[i] = v
+			}
+		case 2:
+			v := 0.3 + 0.2*t.cosAt(z)
+			for i := range row {
+				row[i] = v
+			}
+		case 3:
+			for i := range row {
+				if x := x0 + i; uint(x) < uint(t.period) && uint(z) < uint(t.period) {
+					row[i] = 0.4 + 0.2*t.sinXZ[z*t.period+x]
+				} else {
+					row[i] = SmoothAt(t.period, ivect.New(x, y, z), 3)
+				}
+			}
 		default:
-			return 2.0 + 0.1*at(cos, math.Cos, p[0])*at(sin, math.Sin, p[1])*at(sin, math.Sin, p[2])
+			sy, sz := t.sinAt(y), t.sinAt(z)
+			for i := range row {
+				row[i] = 2.0 + 0.1*t.cosAt(x0+i)*sy*sz
+			}
 		}
 	}
 }

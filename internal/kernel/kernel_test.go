@@ -229,20 +229,22 @@ func TestInitSmoothBounded(t *testing.T) {
 	}
 }
 
-// TestSmoothFuncMatchesSmoothAt holds the tabulated fill function to
-// the pointwise definition bit for bit, for every component, over the
-// period cube extended by 3 cells on every side (ghost cells and
-// periodic images take the math fallback), at points a whole period or
-// more outside [0, period) on each axis in turn and on all three, and
-// InitSmooth and InitSmoothFrozen, which fill through it, to their
-// pointwise forms.
+// TestSmoothFuncMatchesSmoothAt holds the tabulated fill function,
+// SmoothRowFunc, to the pointwise definition bit for bit, for every
+// component: one value at a time over the period cube extended by 3
+// cells on every side (ghost cells and periodic images take the math
+// fallback) and at points a whole period or more outside [0, period) on
+// each axis in turn and on all three; whole rows starting inside and
+// outside the period on each axis; and InitSmooth and InitSmoothFrozen,
+// which fill through it, to their pointwise forms.
 func TestSmoothFuncMatchesSmoothAt(t *testing.T) {
 	for _, period := range []int{1, 3, 8, 16, 32, 48, 64} {
-		f := SmoothFunc(period)
+		f := SmoothRowFunc(period)
 		check := func(p ivect.IntVect) {
+			var got [1]float64
 			for c := 0; c < NComp; c++ {
-				if got, want := f(p, c), SmoothAt(period, p, c); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("period %d at %v comp %d: SmoothFunc %v, SmoothAt %v", period, p, c, got, want)
+				if f(got[:], p, c); math.Float64bits(got[0]) != math.Float64bits(SmoothAt(period, p, c)) {
+					t.Fatalf("period %d at %v comp %d: SmoothRowFunc %v, SmoothAt %v", period, p, c, got[0], SmoothAt(period, p, c))
 				}
 			}
 		}
@@ -256,6 +258,32 @@ func TestSmoothFuncMatchesSmoothAt(t *testing.T) {
 				}
 			}
 			check(ivect.New(far, far, far))
+		}
+	}
+	// The row form: every component, rows of several lengths that start
+	// inside [0, period), just below it, a period or more below it, and
+	// at or beyond its top, in x; and in y or z at each of those.
+	for _, period := range []int{1, 3, 16} {
+		row := SmoothRowFunc(period)
+		starts := []int{0, period / 2, period - 1, -1, -period - 2, period, 2*period + 1}
+		for _, n := range []int{1, 2, period, period + 5} {
+			buf := make([]float64, n)
+			for _, x0 := range starts {
+				for _, yz := range starts {
+					for _, lo := range []ivect.IntVect{ivect.New(x0, yz, 0), ivect.New(x0, 0, yz), ivect.New(x0, yz, yz)} {
+						for c := 0; c < NComp; c++ {
+							row(buf, lo, c)
+							for i, got := range buf {
+								p := ivect.New(lo[0]+i, lo[1], lo[2])
+								if want := SmoothAt(period, p, c); math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("period %d row from %v comp %d, value %d: SmoothRowFunc %v, SmoothAt %v",
+										period, lo, c, i, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 	const period = 12

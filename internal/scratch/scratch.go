@@ -162,6 +162,9 @@ func (a *Arena) BytesRetained() int64 {
 type Pool struct {
 	mu   sync.Mutex
 	free []*Arena
+	// maxArenaBytes, when positive, is the largest backing store Checkin
+	// keeps: a bigger arena is dropped for the collector instead.
+	maxArenaBytes int64
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
@@ -178,6 +181,15 @@ var Default = NewPool()
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{}
+}
+
+// NewCappedPool returns an empty pool that keeps no arena whose backing
+// store exceeds maxArenaBytes: Checkin drops such an arena, and its
+// bytes leave BytesRetained. A pool whose arenas hold per-run state
+// sized by the request uses it, so that one huge run does not pin its
+// storage for the life of the process.
+func NewCappedPool(maxArenaBytes int64) *Pool {
+	return &Pool{maxArenaBytes: maxArenaBytes}
 }
 
 // Checkout returns an arena for exclusive use until Checkin. An arena
@@ -201,14 +213,20 @@ func (p *Pool) Checkout() *Arena {
 	return &Arena{pool: p}
 }
 
-// Checkin resets a and returns it to the free list. Checkin of nil is a
-// no-op. An arena must be checked in at most once per checkout.
+// Checkin resets a and returns it to the free list, or drops it when
+// its backing store exceeds the pool's cap (see NewCappedPool). Checkin
+// of nil is a no-op. An arena must be checked in at most once per
+// checkout.
 func (p *Pool) Checkin(a *Arena) {
 	if a == nil {
 		return
 	}
 	a.Reset()
 	p.inUse.Add(-1)
+	if p.maxArenaBytes > 0 && a.BytesRetained() > p.maxArenaBytes {
+		p.retainedFloats.Add(-int64(len(a.buf)))
+		return
+	}
 	p.mu.Lock()
 	p.free = append(p.free, a)
 	p.mu.Unlock()

@@ -163,3 +163,21 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 		t.Fatalf("built %d arenas for 8 goroutines", st.Arenas)
 	}
 }
+
+func TestCappedPoolDropsOversizedArenas(t *testing.T) {
+	p := NewCappedPool(1 << 10) // 128 float64s
+	small, big := p.Checkout(), p.Checkout()
+	small.Floats(100)
+	big.Floats(200)
+	p.Checkin(small)
+	p.Checkin(big)
+	if st := p.Stats(); st.InUse != 0 || st.BytesRetained != 100*8 {
+		t.Fatalf("after checkin: %+v, want nothing in use and only the small arena's 800 bytes retained", st)
+	}
+	if a := p.Checkout(); a != small {
+		t.Fatal("the arena under the cap was not kept for reuse")
+	}
+	if a := p.Checkout(); a == big {
+		t.Fatal("the arena over the cap was kept")
+	}
+}

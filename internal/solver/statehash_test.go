@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stencilsched/internal/box"
+	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/layout"
 	"stencilsched/internal/sched"
@@ -72,7 +73,7 @@ func TestStateHash(t *testing.T) {
 				}
 				for _, threads := range []int{1, 2} {
 					ld := layout.NewLevelData(l, kernel.NComp, kernel.NGhost)
-					ld.FillFromFunction(threads, kernel.SmoothFunc(16))
+					ld.FillFromFunction(threads, func(p ivect.IntVect, c int) float64 { return kernel.SmoothAt(16, p, c) })
 					s, err := New(ld, Config{Variant: v, Integrator: integ, Dt: 0.05, Threads: threads})
 					if err != nil {
 						t.Fatal(err)
